@@ -85,12 +85,10 @@ int main() {
     prep.context_document = q.document;
     api::ExecuteOptions exec;
     exec.limits.timeout_seconds = wb.dnf_seconds;
-    exec.use_columnar = true;
     api::RunOptions run;
     run.mode = api::Mode::kJoinGraph;
     run.context_document = q.document;
     run.timeout_seconds = wb.dnf_seconds;
-    run.use_columnar = true;
 
     // Cold: every request recompiles (cache cleared in between).
     for (int i = 0; i < iters; ++i) {
@@ -209,7 +207,6 @@ int main() {
     run.mode = api::Mode::kJoinGraph;
     run.context_document = "auction.xml";
     run.timeout_seconds = wb.dnf_seconds;
-    run.use_columnar = true;
 
     // Literal family: every binding is a distinct query text.
     wb.processor.ClearPlanCache();
@@ -244,7 +241,6 @@ int main() {
       }
       api::ExecuteOptions exec;
       exec.limits.timeout_seconds = wb.dnf_seconds;
-      exec.use_columnar = true;
       exec.parameters["person"] = Value::String("person" + std::to_string(i));
       auto result = wb.processor.ExecuteAll(again.value(), exec);
       if (!result.ok() ||

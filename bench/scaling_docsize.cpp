@@ -21,11 +21,11 @@ using namespace xqjg;
 
 int main() {
   std::printf("Scaling — Q4 (//closed_auction/price/text()) across XMark "
-              "scales (row vs columnar join-graph execution, plus the\n"
-              "storage row/columnar/dict name-scan axis, ns per row)\n\n"
-              "%-7s %10s %14s %14s %8s %14s %8s | %8s %8s %8s\n",
-              "scale", "nodes", "joingraph (s)", "jg-col (s)", "col x",
-              "native (s)", "factor", "row ns", "col ns", "dict ns");
+              "scales (join graph vs native, plus the storage\n"
+              "row/columnar/dict name-scan axis, ns per row)\n\n"
+              "%-7s %10s %14s %14s %8s | %8s %8s %8s\n",
+              "scale", "nodes", "joingraph (s)", "native (s)", "factor",
+              "row ns", "col ns", "dict ns");
   std::string json = "{\"bench\":\"scaling_docsize\",\"points\":[";
   bool first = true;
   for (double scale : {0.25, 0.5, 1.0, 2.0, 4.0}) {
@@ -45,14 +45,11 @@ int main() {
     run.timeout_seconds = 60;
     run.mode = api::Mode::kJoinGraph;
     auto jg = processor.Run(q4.text, run);
-    run.use_columnar = true;
-    auto jg_col = processor.Run(q4.text, run);
-    run.use_columnar = false;
     run.mode = api::Mode::kNativeWhole;
     auto native = processor.Run(q4.text, run);
-    if (!jg.ok() || !jg_col.ok() || !native.ok()) return 1;
-    if (jg.value().items != jg_col.value().items) {
-      std::fprintf(stderr, "row and columnar join-graph results differ!\n");
+    if (!jg.ok() || !native.ok()) return 1;
+    if (jg.value().items != native.value().items) {
+      std::fprintf(stderr, "join-graph and native results differ!\n");
       return 1;
     }
     const long long nodes =
@@ -65,25 +62,21 @@ int main() {
         bench::MeasureNameScan(*processor.database(), "bidder", iters);
     const double per_row = 1e9 / static_cast<double>(nodes * scan.iters);
     std::printf(
-        "%-7.2f %10lld %14.3f %14.3f %7.1fx %14.3f %7.1fx | %8.2f %8.2f "
-        "%8.2f\n",
-        scale, nodes, jg.value().seconds, jg_col.value().seconds,
-        jg.value().seconds / std::max(1e-9, jg_col.value().seconds),
-        native.value().seconds,
+        "%-7.2f %10lld %14.3f %14.3f %7.1fx | %8.2f %8.2f %8.2f\n",
+        scale, nodes, jg.value().seconds, native.value().seconds,
         native.value().seconds / std::max(1e-9, jg.value().seconds),
         scan.row_seconds * per_row, scan.columnar_seconds * per_row,
         scan.dict_seconds * per_row);
     char buf[512];
     std::snprintf(buf, sizeof(buf),
                   "%s{\"scale\":%.2f,\"nodes\":%lld,\"rows\":%zu,"
-                  "\"joingraph_row_seconds\":%.6f,"
                   "\"joingraph_columnar_seconds\":%.6f,"
                   "\"native_whole_seconds\":%.6f,"
                   "\"storage_scan_ns_per_row\":{\"row\":%.3f,"
                   "\"columnar\":%.3f,\"dict\":%.3f}}",
                   first ? "" : ",", scale, nodes,
                   jg.value().result_count(), jg.value().seconds,
-                  jg_col.value().seconds, native.value().seconds,
+                  native.value().seconds,
                   scan.row_seconds * per_row,
                   scan.columnar_seconds * per_row,
                   scan.dict_seconds * per_row);

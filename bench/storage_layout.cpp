@@ -9,8 +9,8 @@
 //     column (columnar), and the dictionary-encoded column (dict — one
 //     uint32 compare per row)
 //   - the memory axis of the shared document block: bytes of ONE block
-//     vs bytes retained across every lane of a full processor (row
-//     DocTable view + relational database + columnar batches) — the
+//     vs bytes retained across every lane of a full processor
+//     (DocTable view + relational database + columnar batches) — the
 //     all-lanes number must track ~1×, not ~3×
 //
 // Environment: XQJG_XMARK_SCALE (default 1.0). Set XQJG_BENCH_JSON to
@@ -72,7 +72,6 @@ int main() {
   if (!processor.CreateRelationalIndexes().ok()) return 1;
   api::RunOptions lanes;
   lanes.mode = api::Mode::kJoinGraph;
-  lanes.use_columnar = true;
   lanes.context_document = "auction.xml";
   if (!processor.Run("/site/people/person", lanes).ok()) return 1;
   auto snap = processor.snapshot();

@@ -1,14 +1,14 @@
 // Reproduces paper Table IX: observed result sizes and wall-clock
 // execution times for Q1–Q6 under the four execution modes
 //   DB2+Pathfinder stacked | join graph || pureXML whole | segmented
-// (here: materializing stacked executor | isolated join graph on the
-// cost-based B-tree engine || native engine whole | segmented).
+// (here: stacked plan on the columnar algebra executor | isolated join
+// graph on the cost-based B-tree engine || native engine whole |
+// segmented).
 //
-// Extended with a row-vs-columnar axis: both relational modes run under
-// the row-at-a-time executor AND the columnar batch executor
-// (use_columnar), so the executor speedup is tracked per query. Set
-// XQJG_BENCH_JSON=<path> to additionally emit the numbers as JSON — CI
-// stores that file as the perf-trajectory artifact (BENCH_table09.json).
+// Extended with a threads axis: both relational modes also run with 2 and
+// 8 morsel workers. Set XQJG_BENCH_JSON=<path> to additionally emit the
+// numbers as JSON — CI stores that file as the perf-trajectory artifact
+// (BENCH_table09.json).
 //
 // Absolute numbers differ from the paper's testbed; the comparison shape
 // (who wins, rough factors, DNFs) is the reproduction target — see
@@ -33,8 +33,7 @@ struct Cell {
 };
 
 Cell RunMode(api::XQueryProcessor* processor, const api::PaperQuery& q,
-             api::Mode mode, double dnf_seconds, bool use_columnar,
-             int threads = 1) {
+             api::Mode mode, double dnf_seconds, int threads = 1) {
   // Q2 binds several independent for-clauses over doc(); per-fragment
   // evaluation cannot express the cross-fragment joins — the paper's
   // segmented pureXML run of Q2 also did not finish.
@@ -47,7 +46,6 @@ Cell RunMode(api::XQueryProcessor* processor, const api::PaperQuery& q,
   options.mode = mode;
   options.context_document = q.document;
   options.timeout_seconds = dnf_seconds;
-  options.use_columnar = use_columnar;
   options.threads = threads;
   Cell cell;
   auto result = processor->Run(q.text, options);
@@ -75,10 +73,12 @@ std::string Fmt(const Cell& cell) {
   return buf;
 }
 
-std::string Speedup(const Cell& row, const Cell& col) {
-  if (row.dnf || row.na || col.dnf || col.na || col.seconds <= 0) return "-";
+std::string Speedup(const Cell& base, const Cell& fast) {
+  if (base.dnf || base.na || fast.dnf || fast.na || fast.seconds <= 0) {
+    return "-";
+  }
   char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.1fx", row.seconds / col.seconds);
+  std::snprintf(buf, sizeof(buf), "%.1fx", base.seconds / fast.seconds);
   return buf;
 }
 
@@ -99,16 +99,14 @@ int main() {
   std::printf(
       "Table IX — observed result sizes and wall clock execution times\n"
       "(XMark nodes: %lld, DBLP nodes: %lld; DNF budget %.0fs; paper used\n"
-      " 4.7M / 31.8M nodes and a 20h budget — shapes, not absolutes)\n"
-      "Each relational mode runs row-at-a-time and columnar (-col).\n\n",
+      " 4.7M / 31.8M nodes and a 20h budget — shapes, not absolutes)\n\n",
       static_cast<long long>(wb.xmark_nodes),
       static_cast<long long>(wb.dblp_nodes), wb.dnf_seconds);
-  std::printf("%-5s %9s | %9s %9s %6s | %9s %9s %6s | %9s %9s\n", "Query",
-              "# nodes", "stacked", "stack-col", "gain", "joingraph",
-              "jg-col", "gain", "whole", "segmented");
-  std::printf("%.*s\n", 100,
+  std::printf("%-5s %9s | %9s %9s %6s | %9s %9s\n", "Query", "# nodes",
+              "stacked", "joingraph", "gain", "whole", "segmented");
+  std::printf("%.*s\n", 70,
               "--------------------------------------------------------------"
-              "--------------------------------------");
+              "--------");
   std::string json =
       "{\"bench\":\"table09\",\"xmark_nodes\":" +
       std::to_string(wb.xmark_nodes) +
@@ -117,65 +115,52 @@ int main() {
   bool first = true;
   for (const auto& q : api::PaperQueries()) {
     Cell stacked =
-        RunMode(&wb.processor, q, api::Mode::kStacked, wb.dnf_seconds, false);
-    Cell stacked_col =
-        RunMode(&wb.processor, q, api::Mode::kStacked, wb.dnf_seconds, true);
-    Cell joingraph = RunMode(&wb.processor, q, api::Mode::kJoinGraph,
-                             wb.dnf_seconds, false);
-    Cell joingraph_col =
-        RunMode(&wb.processor, q, api::Mode::kJoinGraph, wb.dnf_seconds, true);
-    // Morsel-parallel columnar runs (threads axis; the threads=1 cells
-    // above stay the serial baseline). On a single-core container the
-    // worker pool degrades to time-slicing — the axis is still recorded
-    // so multi-core runs show the scaling.
-    Cell stacked_col_t2 = RunMode(&wb.processor, q, api::Mode::kStacked,
-                                  wb.dnf_seconds, true, 2);
-    Cell stacked_col_t8 = RunMode(&wb.processor, q, api::Mode::kStacked,
-                                  wb.dnf_seconds, true, 8);
-    Cell joingraph_col_t2 = RunMode(&wb.processor, q, api::Mode::kJoinGraph,
-                                    wb.dnf_seconds, true, 2);
-    Cell joingraph_col_t8 = RunMode(&wb.processor, q, api::Mode::kJoinGraph,
-                                    wb.dnf_seconds, true, 8);
-    Cell whole = RunMode(&wb.processor, q, api::Mode::kNativeWhole,
-                         wb.dnf_seconds, false);
-    Cell segmented = RunMode(&wb.processor, q, api::Mode::kNativeSegmented,
-                             wb.dnf_seconds, false);
+        RunMode(&wb.processor, q, api::Mode::kStacked, wb.dnf_seconds);
+    Cell joingraph =
+        RunMode(&wb.processor, q, api::Mode::kJoinGraph, wb.dnf_seconds);
+    // Morsel-parallel runs (threads axis; the threads=1 cells above stay
+    // the serial baseline). On a single-core container the worker pool
+    // degrades to time-slicing — the axis is still recorded so multi-core
+    // runs show the scaling.
+    Cell stacked_t2 =
+        RunMode(&wb.processor, q, api::Mode::kStacked, wb.dnf_seconds, 2);
+    Cell stacked_t8 =
+        RunMode(&wb.processor, q, api::Mode::kStacked, wb.dnf_seconds, 8);
+    Cell joingraph_t2 =
+        RunMode(&wb.processor, q, api::Mode::kJoinGraph, wb.dnf_seconds, 2);
+    Cell joingraph_t8 =
+        RunMode(&wb.processor, q, api::Mode::kJoinGraph, wb.dnf_seconds, 8);
+    Cell whole =
+        RunMode(&wb.processor, q, api::Mode::kNativeWhole, wb.dnf_seconds);
+    Cell segmented =
+        RunMode(&wb.processor, q, api::Mode::kNativeSegmented, wb.dnf_seconds);
     size_t rows = joingraph.rows ? joingraph.rows : stacked.rows;
-    std::printf("%-5s %9zu | %9s %9s %6s | %9s %9s %6s | %9s %9s\n",
-                q.id.c_str(), rows, Fmt(stacked).c_str(),
-                Fmt(stacked_col).c_str(), Speedup(stacked, stacked_col).c_str(),
-                Fmt(joingraph).c_str(), Fmt(joingraph_col).c_str(),
-                Speedup(joingraph, joingraph_col).c_str(), Fmt(whole).c_str(),
+    std::printf("%-5s %9zu | %9s %9s %6s | %9s %9s\n", q.id.c_str(), rows,
+                Fmt(stacked).c_str(), Fmt(joingraph).c_str(),
+                Speedup(stacked, joingraph).c_str(), Fmt(whole).c_str(),
                 Fmt(segmented).c_str());
-    if (!stacked.dnf && !joingraph.dnf && joingraph.seconds > 0) {
-      std::printf("%-5s %9s |   speedup of join graph over stacked: %.1fx\n",
-                  "", "", stacked.seconds / joingraph.seconds);
-    }
     std::printf(
-        "%-5s %9s |   columnar threads axis — stacked t2 %s t8 %s (%s) | "
+        "%-5s %9s |   threads axis — stacked t2 %s t8 %s (%s) | "
         "jg t2 %s t8 %s (%s)\n",
-        "", "", Fmt(stacked_col_t2).c_str(), Fmt(stacked_col_t8).c_str(),
-        Speedup(stacked_col, stacked_col_t8).c_str(),
-        Fmt(joingraph_col_t2).c_str(), Fmt(joingraph_col_t8).c_str(),
-        Speedup(joingraph_col, joingraph_col_t8).c_str());
+        "", "", Fmt(stacked_t2).c_str(), Fmt(stacked_t8).c_str(),
+        Speedup(stacked, stacked_t8).c_str(), Fmt(joingraph_t2).c_str(),
+        Fmt(joingraph_t8).c_str(), Speedup(joingraph, joingraph_t8).c_str());
     if (!first) json += ",";
     first = false;
+    // Cell names keep their historical "_columnar" suffix so the JSON
+    // lines up with bench/history/ (the row cells were retired).
     json += "{\"id\":\"" + q.id + "\",\"rows\":" + std::to_string(rows) + ",";
-    JsonCell(&json, "stacked_row", stacked);
+    JsonCell(&json, "stacked_columnar", stacked);
     json += ",";
-    JsonCell(&json, "stacked_columnar", stacked_col);
+    JsonCell(&json, "joingraph_columnar", joingraph);
     json += ",";
-    JsonCell(&json, "joingraph_row", joingraph);
+    JsonCell(&json, "stacked_columnar_t2", stacked_t2);
     json += ",";
-    JsonCell(&json, "joingraph_columnar", joingraph_col);
+    JsonCell(&json, "stacked_columnar_t8", stacked_t8);
     json += ",";
-    JsonCell(&json, "stacked_columnar_t2", stacked_col_t2);
+    JsonCell(&json, "joingraph_columnar_t2", joingraph_t2);
     json += ",";
-    JsonCell(&json, "stacked_columnar_t8", stacked_col_t8);
-    json += ",";
-    JsonCell(&json, "joingraph_columnar_t2", joingraph_col_t2);
-    json += ",";
-    JsonCell(&json, "joingraph_columnar_t8", joingraph_col_t8);
+    JsonCell(&json, "joingraph_columnar_t8", joingraph_t8);
     json += ",";
     JsonCell(&json, "native_whole", whole);
     json += ",";

@@ -3,8 +3,8 @@
 #include <chrono>
 #include <utility>
 
-#include "src/engine/algebra_exec.h"
-#include "src/engine/planner.h"
+#include "src/engine/columnar/columnar_exec.h"
+#include "src/engine/columnar/plan_exec.h"
 #include "src/native/xscan.h"
 #include "src/xml/serializer.h"
 
@@ -72,13 +72,12 @@ Status ResultCursor::EnsureExecuted() {
     case Mode::kStacked: {
       engine::ExecOptions exec_options;
       exec_options.limits = options_.limits;
-      exec_options.use_columnar = options_.use_columnar;
       exec_options.threads = options_.threads;
       if (!params_.empty()) exec_options.params = &params_;
       exec_options.stats = &stats_.engine;
       XQJG_ASSIGN_OR_RETURN(
-          stream_, engine::OpenSequenceStream(pq.stacked, *cat.doc_table(),
-                                              exec_options));
+          stream_, engine::columnar::OpenSequenceStreamColumnar(
+                       pq.stacked, *cat.doc_table(), exec_options));
       break;
     }
     case Mode::kJoinGraph: {
@@ -86,24 +85,23 @@ Status ResultCursor::EnsureExecuted() {
         engine::PlannerOptions popts;
         popts.syntactic_order = pq.options.syntactic_join_order;
         popts.limits = options_.limits;
-        popts.use_columnar = options_.use_columnar;
         popts.threads = options_.threads;
         if (!params_.empty()) popts.params = &params_;
         // relational_db() returns the instance the plan was compiled
         // over (Prepare built it) — pq.plan's index pointers live in it.
         XQJG_ASSIGN_OR_RETURN(
-            stream_, engine::OpenPlanStream(pq.plan, *cat.relational_db(),
-                                            popts, &stats_.engine));
+            stream_, engine::columnar::OpenPlanStreamColumnar(
+                         pq.plan, *cat.relational_db(), popts,
+                         &stats_.engine));
       } else {
         // Residual blocking operators: execute the isolated DAG directly.
         engine::ExecOptions exec_options;
         exec_options.limits = options_.limits;
-        exec_options.use_columnar = options_.use_columnar;
         exec_options.threads = options_.threads;
         exec_options.stats = &stats_.engine;
         XQJG_ASSIGN_OR_RETURN(
-            stream_, engine::OpenSequenceStream(pq.isolated, *cat.doc_table(),
-                                                exec_options));
+            stream_, engine::columnar::OpenSequenceStreamColumnar(
+                         pq.isolated, *cat.doc_table(), exec_options));
       }
       break;
     }

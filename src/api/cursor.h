@@ -6,8 +6,8 @@
 // the pipelined columnar lanes the stream is the live pipeline — pulled
 // pre ranks flow out of the final sort breaker on demand — so an open
 // cursor retains O(batch) tracked engine state (plus spill files, which
-// are disk), not O(result). The row and native lanes stay materializing
-// oracles behind the same interface.
+// are disk), not O(result). The native lanes serialize while they
+// evaluate, so their items arrive materialized behind the same interface.
 //
 // Snapshot pinning: a cursor holds shared ownership of the catalog
 // snapshot its PreparedQuery was compiled against. Catalog mutations
@@ -40,13 +40,10 @@ struct ExecuteOptions {
   /// that would previously time out still does); max_intermediate_rows
   /// bounds the relational executors' intermediates.
   engine::ExecLimits limits;
-  /// Execute relational modes via the columnar batch executors; identical
-  /// results, faster (differential-tested).
-  bool use_columnar = false;
   /// Morsel workers for the columnar executors (1 = serial; ignored by
-  /// the row and native lanes). Results are independent of the worker
-  /// count — per-morsel outputs merge in morsel order — so any value is
-  /// safe for differential comparison.
+  /// the native lanes). Results are independent of the worker count —
+  /// per-morsel outputs merge in morsel order — so any value is safe for
+  /// differential comparison.
   int threads = 1;
   /// Values for the query's external parameters, by name (without '$').
   /// Every parameter the query references must be bound, and every entry

@@ -41,9 +41,9 @@ enum class ValidatePlans { kAuto, kOn, kOff };
 bool ResolveValidatePlans(ValidatePlans setting);
 
 /// Everything that influences *compilation* (and therefore the plan-cache
-/// key). Execution-time knobs — DNF budgets, executor selection — live in
+/// key). Execution-time knobs — DNF budgets, worker threads — live in
 /// ExecuteOptions instead: they select how a plan is run, not which plan
-/// is built, so row and columnar executions share one cached plan.
+/// is built, so executions under any budget share one cached plan.
 struct PrepareOptions {
   Mode mode = Mode::kJoinGraph;
   /// Document substituted for absolute paths ("/site/...").
@@ -98,11 +98,11 @@ struct PreparedQuery {
   /// Extracted join graph — heap-allocated because `plan` points into it.
   std::unique_ptr<const opt::JoinGraph> graph;
   /// Cost-based physical join tree over `graph` (join-graph mode, no
-  /// fallback). Executed by the row and the columnar plan executor alike.
+  /// fallback), run by columnar::OpenPlanStreamColumnar.
   engine::PhysicalPlan plan;
   bool has_plan = false;
-  /// Isolated plan ran via the materializing executor (extraction not
-  /// possible — residual blocking operators).
+  /// The isolated DAG runs on the columnar batch executor (extraction
+  /// not possible — residual blocking operators).
   bool used_fallback = false;
 
   std::string sql;      ///< shipped SQL (join graph block or CTE chain)

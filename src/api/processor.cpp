@@ -543,7 +543,6 @@ Result<RunResult> XQueryProcessor::Run(const std::string& query,
           .count();
   ExecuteOptions eopts;
   eopts.limits.timeout_seconds = options.timeout_seconds;
-  eopts.use_columnar = options.use_columnar;
   eopts.threads = options.threads;
   eopts.parameters = options.parameters;
   XQJG_ASSIGN_OR_RETURN(RunResult result,

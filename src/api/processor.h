@@ -77,11 +77,8 @@ struct RunOptions {
   bool explicit_serialization_step = false;
   /// Stage-boundary plan verification (see PrepareOptions).
   ValidatePlans validate_plans = ValidatePlans::kAuto;
-  /// Execute relational modes via the columnar batch executors (stacked /
-  /// fallback plans and physical join trees); identical results, faster.
-  bool use_columnar = false;
   /// Morsel workers for the columnar executors (1 = serial; ignored by
-  /// the row and native lanes — see ExecuteOptions::threads).
+  /// the native lanes — see ExecuteOptions::threads).
   int threads = 1;
   /// Values for external parameters, by name (see ExecuteOptions).
   std::map<std::string, Value> parameters;
@@ -103,8 +100,9 @@ struct RunResult {
   double compile_seconds = 0.0;
   std::string sql;      ///< shipped SQL (join graph block or CTE chain)
   std::string explain;  ///< physical plan (join-graph mode)
-  bool used_fallback = false;  ///< isolated plan ran via the materializing
-                               ///< executor (extraction not possible)
+  bool used_fallback = false;  ///< ran the isolated DAG on the columnar
+                               ///< batch executor (extraction not
+                               ///< possible)
 };
 
 class XQueryProcessor {

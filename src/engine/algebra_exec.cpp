@@ -9,7 +9,6 @@
 
 #include "src/algebra/dag.h"
 #include "src/common/str.h"
-#include "src/engine/columnar/columnar_exec.h"
 
 namespace xqjg::engine {
 
@@ -466,9 +465,6 @@ bool EvalComparison(const Comparison& cmp,
 
 Result<MatTable> Evaluate(const OpPtr& plan, const xml::DocTable& doc,
                           const ExecOptions& options) {
-  if (options.use_columnar) {
-    return columnar::EvaluateColumnar(plan, doc, options);
-  }
   Evaluator evaluator(doc, options);
   XQJG_ASSIGN_OR_RETURN(Evaluator::TableRef ref, evaluator.Eval(plan.get()));
   if (options.stats) {
@@ -480,9 +476,6 @@ Result<MatTable> Evaluate(const OpPtr& plan, const xml::DocTable& doc,
 Result<std::vector<int64_t>> EvaluateToSequence(const OpPtr& plan,
                                                 const xml::DocTable& doc,
                                                 const ExecOptions& options) {
-  if (options.use_columnar) {
-    return columnar::EvaluateToSequenceColumnar(plan, doc, options);
-  }
   if (plan->kind != OpKind::kSerialize) {
     return Status::InvalidArgument("expected a serialize-rooted plan");
   }
@@ -504,19 +497,6 @@ Result<std::vector<int64_t>> EvaluateToSequence(const OpPtr& plan,
     options.stats->rows_out = static_cast<int64_t>(out.size());
   }
   return out;
-}
-
-Result<std::unique_ptr<SequenceStream>> OpenSequenceStream(
-    const OpPtr& plan, const xml::DocTable& doc,
-    const ExecOptions& options) {
-  if (options.use_columnar) {
-    return columnar::OpenSequenceStreamColumnar(plan, doc, options);
-  }
-  XQJG_ASSIGN_OR_RETURN(std::vector<int64_t> items,
-                        EvaluateToSequence(plan, doc, options));
-  std::unique_ptr<SequenceStream> stream =
-      std::make_unique<VectorSequenceStream>(std::move(items));
-  return stream;
 }
 
 }  // namespace xqjg::engine

@@ -3,18 +3,12 @@
 // Executes a plan DAG operator by operator, materializing every
 // intermediate table — deliberately mirroring the staged execution the
 // paper observes DB2 applying to stacked plans ("read and then again
-// materialize temporary tables", §II-D). It doubles as the reference
-// executor for differential tests of the compiler and rewriter: stacked
-// plan, isolated plan, and the native interpreter must agree.
-//
-// Two execution paths sit behind Evaluate / EvaluateToSequence:
-//   - the row-at-a-time materializer in this file (the oracle), and
-//   - the columnar batch executor (src/engine/columnar/), selected via
-//     ExecOptions::use_columnar, which produces bit-identical tables.
+// materialize temporary tables", §II-D). It is the algebra-level
+// reference that tests compare the compiler, the rewriter, and the
+// columnar executor against; no product path runs it. Queries execute
+// on the columnar executors (src/engine/columnar/), and the native
+// interpreter is the query-level reference.
 // Memoized intermediates are shared (shared_ptr), never deep-copied.
-//
-// The cost-based engine (src/engine/planner.h) is the fast path used for
-// isolated join graphs; this evaluator is the baseline.
 #ifndef XQJG_ENGINE_ALGEBRA_EXEC_H_
 #define XQJG_ENGINE_ALGEBRA_EXEC_H_
 
@@ -26,7 +20,6 @@
 #include "src/common/status.h"
 #include "src/common/value.h"
 #include "src/engine/exec_options.h"
-#include "src/engine/exec_stream.h"
 #include "src/xml/infoset.h"
 
 namespace xqjg::engine {
@@ -45,9 +38,9 @@ MatTable BuildDocRelation(const xml::DocTable& doc);
 
 /// Evaluates `plan` (rooted at any operator, including serialize) against
 /// `doc`. For a serialize root the returned table has the serialize
-/// child's schema with rows in result sequence order. ExecOptions selects
-/// the executor (row oracle vs columnar batch), carries the DNF budget,
-/// and optionally collects ExecStats; an ExecLimits converts implicitly.
+/// child's schema with rows in result sequence order. ExecOptions carries
+/// the DNF budget and optionally collects ExecStats; an ExecLimits
+/// converts implicitly.
 Result<MatTable> Evaluate(const algebra::OpPtr& plan,
                           const xml::DocTable& doc,
                           const ExecOptions& options = {});
@@ -57,17 +50,6 @@ Result<MatTable> Evaluate(const algebra::OpPtr& plan,
 Result<std::vector<int64_t>> EvaluateToSequence(const algebra::OpPtr& plan,
                                                 const xml::DocTable& doc,
                                                 const ExecOptions& options = {});
-
-/// Streaming form of EvaluateToSequence: opens a pull-based cursor over
-/// the result sequence. On the columnar path the pipeline stays live —
-/// batches flow out of the final sort breaker as the caller pulls, so an
-/// open cursor retains O(batch) state (plus any spill-run cursors); the
-/// row oracle materializes as before and wraps the vector. `doc` and
-/// `options.params` must outlive the stream; `options.stats` (if set)
-/// must outlive it too.
-Result<std::unique_ptr<SequenceStream>> OpenSequenceStream(
-    const algebra::OpPtr& plan, const xml::DocTable& doc,
-    const ExecOptions& options = {});
 
 /// Evaluates a single predicate comparison between two rows' terms — the
 /// shared predicate semantics used by every executor. NULL operands

@@ -326,7 +326,7 @@ inline bool JoinCmpPasses(const CompiledJoinCmp& c, size_t lrow, size_t rrow) {
 }
 
 // ---------------------------------------------------------------------------
-// Row hashing over key column sets (same FNV chain as the row executor).
+// Row hashing over key column sets (same FNV chain as the row evaluator).
 
 size_t HashKeysAt(const ColumnBatch& batch, const std::vector<int>& keys,
                   size_t row) {
@@ -1158,7 +1158,7 @@ class HashJoinStream final : public BatchStream {
     lw_ = ls.size();
     rw_ = rs.size();
     // Split the predicate into hashable equality conjuncts and residual
-    // comparisons — same classification as the row executor.
+    // comparisons — same classification as the row evaluator.
     if (op_->kind == OpKind::kJoin) {
       for (const auto& cmp : op_->pred.conjuncts) {
         if (cmp.IsColEq()) {
@@ -2012,35 +2012,6 @@ Result<MatTable> EvaluateColumnar(const OpPtr& plan, const xml::DocTable& doc,
     options.stats->rows_out = static_cast<int64_t>(table.rows.size());
   }
   return table;
-}
-
-Result<std::vector<int64_t>> EvaluateToSequenceColumnar(
-    const OpPtr& plan, const xml::DocTable& doc, const ExecOptions& options) {
-  if (plan->kind != OpKind::kSerialize) {
-    return Status::InvalidArgument("expected a serialize-rooted plan");
-  }
-  PipelineCtx ctx(doc, options);
-  PipelineBuilder builder(&ctx);
-  XQJG_ASSIGN_OR_RETURN(std::unique_ptr<BatchStream> root,
-                        builder.BuildRoot(plan.get()));
-  XQJG_RETURN_NOT_OK(root->Prime());
-  const int item_idx = SchemaIndex(plan->schema, plan->col);
-  if (item_idx < 0) return Status::Internal("serialize item column missing");
-  std::vector<int64_t> out;
-  if (root->total_rows() > 0) {
-    out.reserve(static_cast<size_t>(root->total_rows()));
-  }
-  for (;;) {
-    ColumnBatch b;
-    XQJG_ASSIGN_OR_RETURN(bool more, root->Next(&b));
-    if (!more) break;
-    XQJG_RETURN_NOT_OK(AppendItems(b, item_idx, &out));
-  }
-  ctx.SyncPeak();
-  if (options.stats) {
-    options.stats->rows_out = static_cast<int64_t>(out.size());
-  }
-  return out;
 }
 
 Result<std::unique_ptr<SequenceStream>> OpenSequenceStreamColumnar(

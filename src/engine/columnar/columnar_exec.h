@@ -1,16 +1,16 @@
-// Columnar batch evaluator for table-algebra plans.
+// Columnar batch evaluator for table-algebra plans — the executor of
+// every relational plan that is not a join graph (stacked plans, and
+// isolated plans whose join graph cannot be extracted).
 //
-// The drop-in fast sibling of the materializing row evaluator
-// (src/engine/algebra_exec.h): same plans, same memoization across shared
-// sub-DAGs, same DNF budgets, bit-identical output tables (including row
-// order) — but intermediates are ColumnBatches of typed columns, filters
-// run as vectorized kernels over int64 arrays where the predicate allows,
-// projection / attach / rowid / rank share input columns instead of
-// copying rows, and the hash join builds and probes typed key columns
-// (NULL keys never match, per Value::Compare).
-//
-// Selected via ExecOptions::use_columnar; the row evaluator remains the
-// differential-test oracle.
+// Same plans, same memoization across shared sub-DAGs, same DNF budgets,
+// and bit-identical output tables (including row order) as the row
+// materializer in src/engine/algebra_exec.h, which stays as the
+// algebra-level reference that tests compare against. Intermediates are
+// ColumnBatches of typed columns, filters run as vectorized kernels over
+// int64 arrays where the predicate allows, projection / attach / rowid /
+// rank share input columns instead of copying rows, and the hash join
+// builds and probes typed key columns (NULL keys never match, per
+// Value::Compare).
 //
 // Execution is pipelined: plans run as pull-based streams of ≤4096-row
 // ColumnBatch windows, with the blocking operators (sort, hash build, δ,
@@ -36,19 +36,13 @@ namespace xqjg::engine::columnar {
 /// final batch to a MatTable (the only row-major materialization).
 Result<MatTable> EvaluateColumnar(const algebra::OpPtr& plan,
                                   const xml::DocTable& doc,
-                                  const ExecOptions& options);
+                                  const ExecOptions& options = {});
 
-/// Serialize-rooted plans: returns the result sequence (item column pre
-/// ranks) without materializing the final table row-major.
-Result<std::vector<int64_t>> EvaluateToSequenceColumnar(
-    const algebra::OpPtr& plan, const xml::DocTable& doc,
-    const ExecOptions& options);
-
-/// Serialize-rooted plans, streaming form: primes the pipeline through
-/// its final sort breaker and hands back a live SequenceStream — the
-/// cursor pulls pre ranks batch by batch instead of receiving the whole
-/// materialized sequence. `doc` and `options.params` must outlive the
-/// stream.
+/// Serialize-rooted plans: primes the pipeline through its final sort
+/// breaker and hands back a live SequenceStream of the result sequence's
+/// pre ranks — the cursor pulls them batch by batch instead of receiving
+/// the whole materialized sequence. `doc`, `options.params`, and
+/// `options.stats` (if set) must outlive the stream.
 Result<std::unique_ptr<SequenceStream>> OpenSequenceStreamColumnar(
     const algebra::OpPtr& plan, const xml::DocTable& doc,
     const ExecOptions& options);

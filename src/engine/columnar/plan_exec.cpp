@@ -51,9 +51,8 @@ struct AliasBatch {
 };
 
 /// Abstract row view: pre rank of `alias` in the current row, -1 when the
-/// alias is unbound. The three concrete contexts mirror the row
-/// executor's tuple states: a batch row, a scan probe (outer row + the
-/// scanned alias candidate), and a join candidate pair.
+/// alias is unbound. Three concrete contexts: a batch row, a scan probe
+/// (outer row + the scanned alias candidate), and a join candidate pair.
 struct BatchRow {
   const AliasBatch* batch;
   size_t row;
@@ -87,7 +86,7 @@ struct PairRow {
 
   int64_t operator()(int a) const {
     const auto idx = static_cast<size_t>(a);
-    // Left binding wins, mirroring MergeTuples in the row executor.
+    // Left binding wins.
     if (left->bound[idx]) return left->cols[idx][lrow];
     if (right->bound[idx]) return right->cols[idx][rrow];
     return -1;
@@ -790,7 +789,7 @@ class ColumnarPlanExecutor {
 
   /// Runs one scan (compiled once per node) with outer bindings from
   /// `outer` row `orow` (both null for leaf scans); appends matches as
-  /// (outer row, pre) pairs. Mirrors the row executor's ProbeScan.
+  /// (outer row, pre) pairs.
   /// `clock` is the caller's budget clock — the execution clock for
   /// serial callers, a per-morsel worker clock inside parallel regions.
   Status ProbeScan(const PhysNode* node, const CompiledScan& scan,
@@ -852,9 +851,6 @@ class ColumnarPlanExecutor {
 
 // ---------------------------------------------------------------------------
 // Plan tail: ORDER BY + DISTINCT + item projection.
-
-/// Drain granularity of the materializing fallback over a spilled tail.
-constexpr size_t kTailDrainRows = 4096;
 
 /// Live state of a spilled plan tail: the external sorter plus the
 /// adjacent-row dedup cursor. Outlives the executor (the sorter holds
@@ -949,11 +945,10 @@ class PlanSequenceStream final : public SequenceStream {
 
 /// Runs the physical tree and its tail. Sort keys (ORDER BY terms +
 /// item) are compiled once against the typed columns and evaluated
-/// exactly once per tuple — the row executor re-derives them O(n log n)
-/// times. In memory the tail is one stable sort over a row permutation;
+/// exactly once per tuple. In memory the tail is one stable sort over a row permutation;
 /// when the governor is over budget the rows route through the external
-/// sorter instead, and `*stream_out` (when the caller accepts streaming)
-/// receives the live merge state in place of a materialized vector.
+/// sorter instead, and `*stream_out` receives the live merge state in
+/// place of a materialized vector.
 Result<std::vector<int64_t>> RunPlanToItems(
     const PhysicalPlan& plan, const Database& db,
     const PlannerOptions& options, ExecStats* stats, PlanExecCtx* ctx,
@@ -1055,18 +1050,8 @@ Result<std::vector<int64_t>> RunPlanToItems(
         ts->dedup_idx.push_back(static_cast<int>(c));
       }
     }
-    if (stream_out != nullptr) {
-      *stream_out = std::move(ts);
-      return std::vector<int64_t>{};
-    }
-    std::vector<int64_t> out;
-    for (;;) {
-      XQJG_ASSIGN_OR_RETURN(const bool exhausted,
-                            DrainTailSome(ts.get(), kTailDrainRows, &out));
-      if (exhausted) break;
-    }
-    if (stats) stats->rows_out = static_cast<int64_t>(out.size());
-    return out;
+    *stream_out = std::move(ts);
+    return std::vector<int64_t>{};
   }
 
   // ---- In-memory tail: one stable sort over a row permutation.
@@ -1128,18 +1113,6 @@ Result<std::vector<int64_t>> RunPlanToItems(
 }
 
 }  // namespace
-
-Result<std::vector<int64_t>> ExecutePlanColumnar(const PhysicalPlan& plan,
-                                                 const Database& db,
-                                                 const PlannerOptions& options,
-                                                 ExecStats* stats) {
-  PlanExecCtx ctx(options.limits);
-  ctx.stats = stats;
-  Result<std::vector<int64_t>> out =
-      RunPlanToItems(plan, db, options, stats, &ctx, nullptr);
-  ctx.SyncPeak();
-  return out;
-}
 
 Result<std::unique_ptr<SequenceStream>> OpenPlanStreamColumnar(
     const PhysicalPlan& plan, const Database& db,

@@ -1,15 +1,12 @@
-// Columnar executor for the cost-based physical plans of
-// src/engine/planner.h.
+// The executor for the cost-based physical plans of src/engine/planner.h
+// — the only way a join-graph plan runs.
 //
-// The row executor threads one std::vector<int64_t> tuple at a time
-// through the join tree (a heap allocation per tuple, plus re-evaluation
-// of every ORDER BY term O(n log n) times in the plan tail). This
-// executor keeps intermediates as alias columns — one contiguous int64
-// pre-rank column per bound doc alias — probes scans and joins in
-// batches, and evaluates the plan-tail sort keys exactly once per tuple.
-// Emission order, predicate semantics (NULL join keys never match), and
-// the DISTINCT tail mirror the row executor exactly; the differential
-// suite holds both to identical result sequences.
+// Intermediates are alias columns — one contiguous int64 pre-rank column
+// per bound doc alias — instead of one heap-allocated tuple per row.
+// Scans and joins probe in batches, and the plan-tail sort keys are
+// evaluated exactly once per tuple. NULL join keys never match. The
+// differential suites hold the result sequences to the native
+// interpreter's (tests/testutil/differential.h).
 //
 // Execution is governed by ExecLimits::max_memory_bytes: every live
 // alias batch is charged against the budget, an over-budget hash join
@@ -17,8 +14,6 @@
 // ORDER BY tail routes through the shared external-merge sorter — all
 // bit-identical to the unlimited in-memory run (see spill.h for the
 // order-exactness argument).
-//
-// Selected via PlannerOptions::use_columnar.
 #ifndef XQJG_ENGINE_COLUMNAR_PLAN_EXEC_H_
 #define XQJG_ENGINE_COLUMNAR_PLAN_EXEC_H_
 
@@ -32,19 +27,13 @@
 
 namespace xqjg::engine::columnar {
 
-/// Drop-in batch replacement for ExecutePlan: returns result-sequence pre
-/// ranks (ordered, DISTINCT applied per the graph's tail).
-Result<std::vector<int64_t>> ExecutePlanColumnar(const PhysicalPlan& plan,
-                                                 const Database& db,
-                                                 const PlannerOptions& options,
-                                                 ExecStats* stats);
-
-/// Streaming form: runs the join tree, then hands the tail back as a
-/// SequenceStream. When the memory governor pushed the ORDER BY sort to
-/// disk the stream merges spilled runs batch by batch (rows_total() is
-/// -1 until drained — DISTINCT and the NULL-item skip decide the count
-/// row by row); otherwise it wraps the already-materialized sequence.
-/// `db` and `options.params` must outlive the stream.
+/// Runs the join tree, then hands the tail back as a SequenceStream of
+/// result-sequence pre ranks (ordered, DISTINCT applied per the graph's
+/// tail). When the memory governor pushed the ORDER BY sort to disk the
+/// stream merges spilled runs batch by batch (rows_total() is -1 until
+/// drained — DISTINCT and the NULL-item skip decide the count row by
+/// row); otherwise it wraps the already-materialized sequence. `db`,
+/// `options.params`, and `stats` (if set) must outlive the stream.
 Result<std::unique_ptr<SequenceStream>> OpenPlanStreamColumnar(
     const PhysicalPlan& plan, const Database& db,
     const PlannerOptions& options, ExecStats* stats);

@@ -10,7 +10,7 @@
 // accessors. When the source DocTable is backed by a shared xml::DocBlock
 // (the processor's corpora always are), Build adopts the block's column
 // pointers instead of materializing a copy — the database, the columnar
-// doc-relation batch, and the row lane all read the same bytes.
+// doc-relation batch, and the row evaluator all read the same bytes.
 #ifndef XQJG_ENGINE_DATABASE_H_
 #define XQJG_ENGINE_DATABASE_H_
 

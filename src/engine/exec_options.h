@@ -1,6 +1,6 @@
-// Execution knobs shared by every query executor (the materializing row
-// evaluator, the columnar batch executor, and the cost-based physical
-// engine): DNF budgets, executor selection, and observable statistics.
+// Execution knobs shared by every query executor (the two columnar
+// executors and the materializing row evaluator that tests use as the
+// algebra-level reference): DNF budgets and observable statistics.
 #ifndef XQJG_ENGINE_EXEC_OPTIONS_H_
 #define XQJG_ENGINE_EXEC_OPTIONS_H_
 
@@ -30,8 +30,9 @@ struct ExecLimits {
   /// state would exceed the budget, and execution completes with identical
   /// results. Non-spillable breaker state (rank materialization, shared
   /// sub-DAG memos, nested-loop inner sides) is tracked — it shows up in
-  /// ExecStats::peak_memory_bytes — but never aborts. The row and native
-  /// oracles ignore this knob (they stay materializing by design).
+  /// ExecStats::peak_memory_bytes — but never aborts. The row evaluator
+  /// and the native interpreter ignore this knob (they stay materializing
+  /// by design).
   int64_t max_memory_bytes = -1;
 };
 
@@ -45,7 +46,7 @@ struct ExecStats {
   int64_t tuples_materialized = 0;
   /// High-water mark of tracked intermediate bytes (pipeline-breaker
   /// buffers; the columnar executors charge these against
-  /// ExecLimits::max_memory_bytes). 0 for the row/native oracles.
+  /// ExecLimits::max_memory_bytes).
   int64_t peak_memory_bytes = 0;
   /// Bytes written to spill files over the execution, and the number of
   /// times a breaker decided to spill (a run flush, a partition flush, or
@@ -60,12 +61,8 @@ struct ExecOptions {
   ExecOptions(const ExecLimits& l) : limits(l) {}
 
   ExecLimits limits;
-  /// Evaluate via the columnar batch executor instead of the row-at-a-time
-  /// materializer. Both produce identical tables (differential-tested).
-  bool use_columnar = false;
-  /// Morsel workers for the columnar executors (1 = serial, today's exact
-  /// code paths; the row executors always run serial so they stay
-  /// byte-identical differential oracles). Results are independent of the
+  /// Morsel workers for the columnar executors (1 = serial; the row
+  /// evaluator always runs serial). Results are independent of the
   /// worker count: morsel outputs merge in morsel-index order.
   int threads = 1;
   /// Execute-time values for the plan's parameter markers, indexed by

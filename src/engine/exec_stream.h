@@ -10,9 +10,9 @@
 // pulls. An open cursor therefore retains O(batch) tracked state plus
 // any spill files, not O(result).
 //
-// The row and native lanes stay serial materializing oracles by design;
-// VectorSequenceStream adapts their fully evaluated vectors to the same
-// interface so the cursor has a single drain path.
+// VectorSequenceStream adapts an already materialized sequence (the
+// physical-plan executor's in-memory tail) to the same interface, so the
+// cursor has a single drain path.
 #ifndef XQJG_ENGINE_EXEC_STREAM_H_
 #define XQJG_ENGINE_EXEC_STREAM_H_
 
@@ -46,10 +46,10 @@ class SequenceStream {
   virtual int64_t retained_bytes() const = 0;
 };
 
-/// Adapter over a fully materialized sequence (row/native oracle lanes).
-/// retained_bytes() reports the whole vector: a materialized result IS
-/// retained state, and the serving tests assert the pipelined lanes stay
-/// below what this adapter would report.
+/// Adapter over a fully materialized sequence. retained_bytes() reports
+/// the whole vector: a materialized result IS retained state, and the
+/// serving tests assert the pipelined lanes stay below what this adapter
+/// would report.
 class VectorSequenceStream final : public SequenceStream {
  public:
   explicit VectorSequenceStream(std::vector<int64_t> pres)

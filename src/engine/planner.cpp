@@ -1,16 +1,10 @@
 #include "src/engine/planner.h"
 
 #include <algorithm>
-#include <chrono>
-#include <cstdio>
-#include <cstdlib>
 #include <cmath>
-#include <map>
 #include <unordered_map>
 
 #include "src/common/str.h"
-#include "src/engine/columnar/plan_exec.h"
-#include "src/engine/qual_eval.h"
 
 namespace xqjg::engine {
 
@@ -21,52 +15,7 @@ using opt::QualTerm;
 
 namespace {
 
-// ---------------------------------------------------------------------------
-// Tuple runtime: a tuple binds one doc row (pre) per alias; -1 = unbound.
-// Qualifiers are compiled per plan node (BoundQualCmp — typed-array fast
-// paths over the columnar doc relation) and evaluated through a tuple row
-// view: pre_of(alias) → bound pre rank.
-
-using Tuple = std::vector<int64_t>;
-
-/// Row view over one tuple.
-struct TupleView {
-  const Tuple* t;
-  int64_t operator()(int alias) const {
-    return (*t)[static_cast<size_t>(alias)];
-  }
-};
-
-/// Row view over a candidate join pair: left binding wins, mirroring
-/// MergeTuples (merge happens only for passing pairs).
-struct TuplePairView {
-  const Tuple* l;
-  const Tuple* r;
-  int64_t operator()(int alias) const {
-    const auto a = static_cast<size_t>(alias);
-    return (*l)[a] >= 0 ? (*l)[a] : (*r)[a];
-  }
-};
-
-bool AllPass(const std::vector<BoundQualCmp>& cmps, const auto& view) {
-  for (const BoundQualCmp& c : cmps) {
-    if (!c.Test(view)) return false;
-  }
-  return true;
-}
-
 std::vector<int> AliasesOf(const QualComparison& p) { return p.Aliases(); }
-
-/// Aliases bound by the scans of a subtree (the bound set of its tuples).
-uint32_t AliasMaskOf(const PhysNode* node) {
-  if (!node) return 0;
-  uint32_t mask = AliasMaskOf(node->left.get()) |
-                  AliasMaskOf(node->right.get());
-  if (node->kind == PhysKind::kTbScan || node->kind == PhysKind::kIxScan) {
-    mask |= 1u << node->alias;
-  }
-  return mask;
-}
 
 /// True iff all of p's aliases lie within `mask`.
 bool CoveredBy(const QualComparison& p, uint32_t mask) {
@@ -545,241 +494,6 @@ class Planner {
   std::unordered_map<uint64_t, double> scan_cost_memo_;
 };
 
-// ---------------------------------------------------------------------------
-// Execution.
-
-class Executor {
- public:
-  Executor(const JoinGraph& graph, const Database& db,
-           const PlannerOptions& options, ExecStats* stats)
-      : graph_(graph), db_(db), options_(options), stats_(stats),
-        clock_(options.limits) {}
-
-  BudgetClock* clock() { return &clock_; }
-
-  Result<std::vector<Tuple>> Run(const PhysNode* node) {
-    Result<std::vector<Tuple>> result = RunInner(node);
-    static const bool trace = std::getenv("XQJG_EXEC_TRACE") != nullptr;
-    if (trace && result.ok()) {
-      std::fprintf(stderr, "exec %s d%d -> %zu tuples\n",
-                   node->kind == PhysKind::kIxScan   ? "IXSCAN"
-                   : node->kind == PhysKind::kTbScan ? "TBSCAN"
-                   : node->kind == PhysKind::kNlJoin ? "NLJOIN"
-                                                     : "HSJOIN",
-                   node->alias, result.value().size());
-    }
-    return result;
-  }
-
-  Result<std::vector<Tuple>> RunInner(const PhysNode* node) {
-    XQJG_RETURN_NOT_OK(CheckDeadline());
-    switch (node->kind) {
-      case PhysKind::kTbScan:
-      case PhysKind::kIxScan: {
-        std::vector<Tuple> out;
-        Tuple empty(static_cast<size_t>(graph_.num_aliases), -1);
-        const CompiledScan scan = CompileScan(*node, db_, 0, options_.params);
-        XQJG_RETURN_NOT_OK(ProbeScan(node, scan, empty, &out));
-        return out;
-      }
-      case PhysKind::kNlJoin: {
-        XQJG_ASSIGN_OR_RETURN(std::vector<Tuple> outer, Run(node->left.get()));
-        std::vector<Tuple> out;
-        if (node->right->kind == PhysKind::kIxScan ||
-            node->right->kind == PhysKind::kTbScan) {
-          const uint32_t outer_mask = AliasMaskOf(node->left.get());
-          const CompiledScan scan =
-              CompileScan(*node->right, db_, outer_mask, options_.params);
-          for (const Tuple& t : outer) {
-            XQJG_RETURN_NOT_OK(ProbeScan(node->right.get(), scan, t, &out));
-            XQJG_RETURN_NOT_OK(
-                clock_.TickRows(static_cast<int64_t>(out.size())));
-            XQJG_RETURN_NOT_OK(CheckDeadline());
-          }
-          // Edge predicates not already applied inside the probe.
-          FilterInPlace(node->preds,
-                        outer_mask | (1u << node->right->alias), &out);
-        } else {
-          XQJG_ASSIGN_OR_RETURN(std::vector<Tuple> inner,
-                                Run(node->right.get()));
-          const std::vector<BoundQualCmp> cmps = CompileQuals(
-              node->preds, db_,
-              AliasMaskOf(node->left.get()) | AliasMaskOf(node->right.get()),
-              options_.params);
-          for (const Tuple& l : outer) {
-            for (const Tuple& r : inner) {
-              XQJG_RETURN_NOT_OK(
-                  clock_.TickRows(static_cast<int64_t>(out.size())));
-              if (AllPass(cmps, TuplePairView{&l, &r})) {
-                out.push_back(MergeTuples(l, r));
-              }
-            }
-          }
-        }
-        if (stats_) {
-          stats_->tuples_materialized += static_cast<int64_t>(out.size());
-        }
-        return out;
-      }
-      case PhysKind::kHsJoin: {
-        XQJG_ASSIGN_OR_RETURN(std::vector<Tuple> left, Run(node->left.get()));
-        XQJG_ASSIGN_OR_RETURN(std::vector<Tuple> right,
-                              Run(node->right.get()));
-        const uint32_t left_mask = AliasMaskOf(node->left.get());
-        const uint32_t full_mask = left_mask | AliasMaskOf(node->right.get());
-        const std::vector<BoundQualCmp> cmps =
-            CompileQuals(node->preds, db_, full_mask, options_.params);
-        // Hash on the first equality predicate; others become residual.
-        const QualComparison* hash_pred = nullptr;
-        for (const auto& p : node->preds) {
-          if (p.op == CmpOp::kEq) {
-            hash_pred = &p;
-            break;
-          }
-        }
-        std::vector<Tuple> out;
-        if (!hash_pred) {
-          for (const Tuple& l : left) {
-            for (const Tuple& r : right) {
-              XQJG_RETURN_NOT_OK(
-                  clock_.TickRows(static_cast<int64_t>(out.size())));
-              if (AllPass(cmps, TuplePairView{&l, &r})) {
-                out.push_back(MergeTuples(l, r));
-              }
-            }
-          }
-          return out;
-        }
-        // Determine which side provides which term (a term is left-side
-        // if every alias it references is bound by the left subtree).
-        auto on_left = [&](const QualTerm& t) {
-          for (int a : {t.alias, t.alias2}) {
-            if (a >= 0 && !(left_mask & (1u << a))) return false;
-          }
-          return true;
-        };
-        const bool lhs_left = on_left(hash_pred->lhs);
-        const BoundQualTerm lterm(
-            ResolveParams(lhs_left ? hash_pred->lhs : hash_pred->rhs,
-                          options_.params),
-            db_);
-        const BoundQualTerm rterm(
-            ResolveParams(lhs_left ? hash_pred->rhs : hash_pred->lhs,
-                          options_.params),
-            db_);
-        std::unordered_map<size_t, std::vector<size_t>> buckets;
-        for (size_t j = 0; j < right.size(); ++j) {
-          XQJG_RETURN_NOT_OK(clock_.Tick());
-          // NULL keys never join: Value::Compare treats NULL as
-          // incomparable, so rows with a NULL key are skipped outright.
-          Value v = rterm.Eval(TupleView{&right[j]});
-          if (v.is_null()) continue;
-          buckets[v.Hash()].push_back(j);
-        }
-        for (const Tuple& l : left) {
-          XQJG_RETURN_NOT_OK(clock_.Tick());
-          Value v = lterm.Eval(TupleView{&l});
-          if (v.is_null()) continue;
-          auto it = buckets.find(v.Hash());
-          if (it == buckets.end()) continue;
-          for (size_t j : it->second) {
-            XQJG_RETURN_NOT_OK(
-                clock_.TickRows(static_cast<int64_t>(out.size())));
-            if (AllPass(cmps, TuplePairView{&l, &right[j]})) {
-              out.push_back(MergeTuples(l, right[j]));
-            }
-          }
-        }
-        if (stats_) {
-          stats_->tuples_materialized += static_cast<int64_t>(out.size());
-        }
-        return out;
-      }
-    }
-    return Status::Internal("unknown physical operator");
-  }
-
- private:
-  Status CheckDeadline() { return clock_.CheckDeadline(); }
-
-  Tuple MergeTuples(const Tuple& a, const Tuple& b) {
-    Tuple out = a;
-    for (size_t i = 0; i < out.size(); ++i) {
-      if (out[i] < 0) out[i] = b[i];
-    }
-    return out;
-  }
-
-  void FilterInPlace(const std::vector<QualComparison>& preds,
-                     uint32_t bound_mask, std::vector<Tuple>* tuples) {
-    if (preds.empty()) return;
-    const std::vector<BoundQualCmp> cmps =
-        CompileQuals(preds, db_, bound_mask, options_.params);
-    std::vector<Tuple> kept;
-    // Shrink-only pass over tuples that were budget-admitted when
-    // produced.  xqjg-lint: allow(no-budget-guard)
-    for (Tuple& t : *tuples) {
-      if (AllPass(cmps, TupleView{&t})) kept.push_back(std::move(t));
-    }
-    *tuples = std::move(kept);
-  }
-
-  /// Runs a scan (compiled once per node) with outer bindings from
-  /// `outer`; appends bound tuples.
-  Status ProbeScan(const PhysNode* node, const CompiledScan& scan,
-                   const Tuple& outer, std::vector<Tuple>* out) {
-    const int alias = node->alias;
-    auto emit_if_match = [&](int64_t pre) {
-      // Conjuncts whose other aliases are still unbound were dropped at
-      // compile time (they are re-checked at the join that binds them).
-      auto view = [&](int a) {
-        return a == alias ? pre : outer[static_cast<size_t>(a)];
-      };
-      if (!AllPass(scan.row_preds, view)) return;
-      Tuple t = outer;
-      t[static_cast<size_t>(alias)] = pre;
-      out->push_back(std::move(t));
-    };
-    if (node->kind == PhysKind::kTbScan) {
-      for (int64_t pre = 0; pre < db_.row_count(); ++pre) {
-        emit_if_match(pre);
-        XQJG_RETURN_NOT_OK(
-            clock_.TickRows(static_cast<int64_t>(out->size())));
-      }
-      return Status::OK();
-    }
-    // Index scan: build the probe range from the compiled probe plan.
-    KeyRange range;
-    if (!BuildProbeRange(scan, TupleView{&outer}, &range)) {
-      return Status::OK();  // NULL probe value never matches
-    }
-    bool expired = false, over_rows = false;
-    node->index->tree.Scan(range, [&](const Key&, int64_t pre) {
-      emit_if_match(pre);
-      if (clock_.RowsExceeded(static_cast<int64_t>(out->size()))) {
-        over_rows = true;
-        return false;  // stop the scan
-      }
-      if (clock_.TickQuiet() && clock_.Expired()) {
-        expired = true;
-        return false;  // stop the scan
-      }
-      return true;
-    });
-    if (over_rows) {
-      return clock_.TickRows(static_cast<int64_t>(out->size()));
-    }
-    if (expired) return clock_.CheckDeadline();
-    return Status::OK();
-  }
-
-  const JoinGraph& graph_;
-  const Database& db_;
-  PlannerOptions options_;
-  ExecStats* stats_;
-  BudgetClock clock_;
-};
-
 }  // namespace
 
 Result<PhysicalPlan> PlanJoinGraph(const JoinGraph& graph, const Database& db,
@@ -789,94 +503,6 @@ Result<PhysicalPlan> PlanJoinGraph(const JoinGraph& graph, const Database& db,
   }
   Planner planner(graph, db, options);
   return planner.Plan();
-}
-
-Result<std::vector<int64_t>> ExecutePlan(const PhysicalPlan& plan,
-                                         const Database& db,
-                                         const PlannerOptions& options,
-                                         ExecStats* stats) {
-  if (options.use_columnar) {
-    return columnar::ExecutePlanColumnar(plan, db, options, stats);
-  }
-  const JoinGraph& graph = *plan.graph;
-  Executor executor(graph, db, options, stats);
-  BudgetClock& clock = *executor.clock();
-  XQJG_ASSIGN_OR_RETURN(std::vector<Tuple> tuples, executor.Run(plan.root.get()));
-  // Plan tail: ORDER BY + DISTINCT + item projection (the single SORT of
-  // Fig. 10/11). Tail terms are compiled once against the typed columns.
-  std::vector<BoundQualTerm> order_terms;
-  order_terms.reserve(graph.order_by.size() + 1);
-  for (const auto& term : graph.order_by) {
-    order_terms.emplace_back(term, db);
-  }
-  order_terms.emplace_back(graph.item, db);
-  auto order_key = [&](const Tuple& t) {
-    std::vector<Value> key;
-    key.reserve(order_terms.size());
-    for (const auto& term : order_terms) {
-      key.push_back(term.Eval(TupleView{&t}));
-    }
-    return key;
-  };
-  try {
-    std::stable_sort(tuples.begin(), tuples.end(),
-                     [&](const Tuple& a, const Tuple& b) {
-                       clock.TickThrow();
-                       return CompareKeyPrefix(order_key(a), order_key(b)) < 0;
-                     });
-  } catch (const BudgetExhausted&) {
-    return Status::Timeout("execution exceeded wall-clock budget (DNF)");
-  }
-  std::vector<BoundQualTerm> select_terms;
-  select_terms.reserve(graph.select_list.size());
-  for (const auto& term : graph.select_list) {
-    select_terms.emplace_back(term, db);
-  }
-  const BoundQualTerm item_term(graph.item, db);
-  std::vector<int64_t> out;
-  std::vector<Value> prev_payload;
-  bool have_prev = false;
-  for (const Tuple& t : tuples) {
-    XQJG_RETURN_NOT_OK(clock.Tick());
-    if (graph.distinct) {
-      std::vector<Value> payload;
-      payload.reserve(select_terms.size());
-      for (const auto& term : select_terms) {
-        payload.push_back(term.Eval(TupleView{&t}));
-      }
-      if (have_prev && payload.size() == prev_payload.size()) {
-        bool same = true;
-        for (size_t i = 0; i < payload.size(); ++i) {
-          if (payload[i].is_null() != prev_payload[i].is_null() ||
-              (!payload[i].is_null() && !(payload[i] == prev_payload[i]))) {
-            same = false;
-            break;
-          }
-        }
-        if (same) continue;
-      }
-      prev_payload = std::move(payload);
-      have_prev = true;
-    }
-    Value item = item_term.Eval(TupleView{&t});
-    if (item.is_null()) continue;
-    out.push_back(item.AsInt());
-  }
-  if (stats) stats->rows_out = static_cast<int64_t>(out.size());
-  return out;
-}
-
-Result<std::unique_ptr<SequenceStream>> OpenPlanStream(
-    const PhysicalPlan& plan, const Database& db,
-    const PlannerOptions& options, ExecStats* stats) {
-  if (options.use_columnar) {
-    return columnar::OpenPlanStreamColumnar(plan, db, options, stats);
-  }
-  XQJG_ASSIGN_OR_RETURN(std::vector<int64_t> items,
-                        ExecutePlan(plan, db, options, stats));
-  std::unique_ptr<SequenceStream> stream =
-      std::make_unique<VectorSequenceStream>(std::move(items));
-  return stream;
 }
 
 namespace {

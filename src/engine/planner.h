@@ -14,7 +14,6 @@
 #include "src/common/value.h"
 #include "src/engine/database.h"
 #include "src/engine/exec_options.h"
-#include "src/engine/exec_stream.h"
 #include "src/opt/join_graph.h"
 
 namespace xqjg::engine {
@@ -45,53 +44,30 @@ struct PhysicalPlan {
   double est_cost = 0;
 };
 
-// ExecStats lives in src/engine/exec_options.h (shared by all executors).
-
 struct PlannerOptions {
   /// Disable cost-based join ordering: join aliases in syntactic order
   /// with filter joins (the ablation baseline).
   bool syntactic_order = false;
-  /// DNF budgets (wall clock + intermediate row count); both enforced by
-  /// the row and the columnar physical-plan executors at every
+  /// DNF budgets (wall clock + intermediate row count), enforced by the
+  /// physical-plan executor (columnar/plan_exec.h) at every
   /// tuple-producing point.
   ExecLimits limits;
-  /// Execute via the columnar batch executor (alias-column tuple store,
-  /// batched probes/joins, single-pass sort keys) instead of the
-  /// row-at-a-time tuple executor. Identical results, differential-tested.
-  bool use_columnar = false;
-  /// Morsel workers for the columnar plan executor (1 = serial, today's
-  /// exact code paths; the row executor always runs serial so it stays a
-  /// byte-identical differential oracle). Results are independent of the
-  /// worker count: morsel outputs merge in morsel-index order.
+  /// Morsel workers for the plan executor (1 = serial). Results are
+  /// independent of the worker count: morsel outputs merge in
+  /// morsel-index order.
   int threads = 1;
   /// Execute-time values for the plan's parameter markers, indexed by
   /// binding slot (null: no parameters). Not owned; must outlive the
-  /// execution. Both executors substitute these into the per-node compiled
+  /// execution. The executor substitutes these into the per-node compiled
   /// qualifiers, so one PhysicalPlan serves a whole literal family.
   const std::vector<Value>* params = nullptr;
 };
 
-/// Builds the cheapest physical join tree for `graph` over `db`.
+/// Builds the cheapest physical join tree for `graph` over `db`. Run it
+/// with columnar::OpenPlanStreamColumnar (src/engine/columnar/plan_exec.h).
 Result<PhysicalPlan> PlanJoinGraph(const opt::JoinGraph& graph,
                                    const Database& db,
                                    const PlannerOptions& options = {});
-
-/// Executes the plan: returns result-sequence pre ranks (ordered,
-/// DISTINCT applied per the graph's tail).
-Result<std::vector<int64_t>> ExecutePlan(const PhysicalPlan& plan,
-                                         const Database& db,
-                                         const PlannerOptions& options = {},
-                                         ExecStats* stats = nullptr);
-
-/// Streaming form of ExecutePlan: opens a pull-based cursor over the
-/// result sequence. On the columnar path with a spilled ORDER BY tail
-/// the sort's run merge stays live and rows flow out per pull
-/// (rows_total() is -1 until drained); otherwise the materialized
-/// sequence is wrapped. `db`, `options.params`, and `stats` (if set)
-/// must outlive the stream.
-Result<std::unique_ptr<SequenceStream>> OpenPlanStream(
-    const PhysicalPlan& plan, const Database& db,
-    const PlannerOptions& options = {}, ExecStats* stats = nullptr);
 
 /// DB2-visual-explain-style rendering (Fig. 10 / Fig. 11).
 std::string ExplainPlan(const PhysicalPlan& plan);

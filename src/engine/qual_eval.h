@@ -1,14 +1,13 @@
-// Compiled qualifier evaluation over the columnar doc relation — shared
-// by both physical-plan executors (the row tuple executor in planner.cpp
-// and the alias-column executor in columnar/plan_exec.cpp).
+// Compiled qualifier evaluation over the columnar doc relation for the
+// physical-plan executor (columnar/plan_exec.cpp).
 //
 // A QualTerm / QualComparison is bound against the Database ONCE per plan
 // node: column names resolve to typed ValueColumn pointers (no per-row
 // ColumnIndex string search), all-integer terms compile to raw int64
 // pointer sums, and `name = '...'`-shaped predicates compile to a single
 // dictionary-code comparison. Per row, evaluation takes a row view — any
-// callable mapping alias → pre rank (< 0 = unbound) — so each executor
-// keeps its own tuple representation.
+// callable mapping alias → pre rank (< 0 = unbound) — so one compiled
+// qualifier serves a batch row, a scan probe, and a join candidate pair.
 //
 // Semantics mirror the historical boxed EvalQualTerm/EvalQualComparison
 // exactly: terms are Σ cols + constant with NULL poisoning (unbound alias

@@ -202,7 +202,10 @@ Status ExternalValueSorter::Finish() {
     XQJG_ASSIGN_OR_RETURN(
         cursors_[i].live,
         SpillReadRow(&runs_[i], cursors_[i].row.data(), arity_));
+    if (cursors_[i].live) heap_.push_back(static_cast<uint32_t>(i));
   }
+  std::make_heap(heap_.begin(), heap_.end(),
+                 [this](uint32_t a, uint32_t b) { return HeapAfter(a, b); });
   return Status::OK();
 }
 
@@ -212,25 +215,34 @@ Result<bool> ExternalValueSorter::Next(std::vector<Value>* row) {
     *row = std::move(buf_[pos_++]);
     return true;
   }
-  // Linear min scan over the run heads (runs are ≥kMinSpillRows rows, so
-  // the fan-in stays modest); strict less keeps ties on the earliest
-  // run — the stable-sort order.
-  int best = -1;
-  for (size_t i = 0; i < cursors_.size(); ++i) {
-    if (!cursors_[i].live) continue;
-    if (best < 0 ||
-        RowLess(cursors_[i].row, cursors_[static_cast<size_t>(best)].row)) {
-      best = static_cast<int>(i);
-    }
+  // K-way merge through a min-heap of run heads: O(log runs) per row,
+  // so a tiny budget (thousands of runs) does not turn the merge
+  // quadratic. Equal rows pop from the earliest run — the stable-sort
+  // order.
+  if (heap_.empty()) return false;
+  auto after = [this](uint32_t a, uint32_t b) { return HeapAfter(a, b); };
+  std::pop_heap(heap_.begin(), heap_.end(), after);
+  const uint32_t b = heap_.back();
+  RunCursor& cursor = cursors_[b];
+  row->swap(cursor.row);
+  cursor.row.resize(arity_);
+  XQJG_ASSIGN_OR_RETURN(cursor.live,
+                        SpillReadRow(&runs_[b], cursor.row.data(), arity_));
+  if (cursor.live) {
+    std::push_heap(heap_.begin(), heap_.end(), after);
+  } else {
+    heap_.pop_back();
   }
-  if (best < 0) return false;
-  const size_t b = static_cast<size_t>(best);
-  *row = cursors_[b].row;
-  XQJG_ASSIGN_OR_RETURN(
-      cursors_[b].live,
-      SpillReadRow(&runs_[b], cursors_[b].row.data(), arity_));
   XQJG_RETURN_NOT_OK(clock_->Tick());
   return true;
+}
+
+bool ExternalValueSorter::HeapAfter(uint32_t a, uint32_t b) const {
+  const std::vector<Value>& ra = cursors_[a].row;
+  const std::vector<Value>& rb = cursors_[b].row;
+  if (RowLess(rb, ra)) return true;
+  if (RowLess(ra, rb)) return false;
+  return b < a;
 }
 
 bool ExternalValueSorter::RowLess(const std::vector<Value>& a,

@@ -143,6 +143,10 @@ class ExternalValueSorter {
 
   bool RowLess(const std::vector<Value>& a,
                const std::vector<Value>& b) const;
+  /// Heap order over run indices: true when run `b`'s head comes first
+  /// (the smaller row; on equal rows the earlier run, which keeps the
+  /// merge stable).
+  bool HeapAfter(uint32_t a, uint32_t b) const;
   Status SortBuf();
   Status FlushRun();
 
@@ -156,6 +160,8 @@ class ExternalValueSorter {
   size_t pos_ = 0;  ///< in-memory read cursor (always 0 before Finish)
   std::vector<SpillFile> runs_;
   std::vector<RunCursor> cursors_;
+  /// Min-heap (under HeapAfter) of the runs whose cursor is live.
+  std::vector<uint32_t> heap_;
   int64_t total_rows_ = 0;
 };
 

@@ -139,11 +139,10 @@ Result<PrepareResult> Client::Prepare(const std::string& query, uint8_t mode,
 }
 
 Result<ExecuteResult> Client::Execute(
-    uint32_t statement_id, const std::map<std::string, Value>& parameters,
-    bool use_columnar) {
+    uint32_t statement_id, const std::map<std::string, Value>& parameters) {
   WireWriter w;
   w.PutU32(statement_id);
-  w.PutU8(use_columnar ? 1 : 0);
+  w.PutU8(0);  // flags: reserved, always 0 (docs/PROTOCOL.md)
   w.PutU32(static_cast<uint32_t>(parameters.size()));
   for (const auto& [name, value] : parameters) {
     w.PutString(name);

@@ -75,8 +75,7 @@ class Client {
                                 const std::string& context_document);
   Result<ExecuteResult> Execute(
       uint32_t statement_id,
-      const std::map<std::string, Value>& parameters = {},
-      bool use_columnar = true);
+      const std::map<std::string, Value>& parameters = {});
   Result<FetchResult> Fetch(uint32_t cursor_id, uint32_t max_items);
   /// Fetch until exhausted, then CLOSE_CURSOR.
   Result<std::vector<std::string>> FetchAll(uint32_t cursor_id,

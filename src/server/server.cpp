@@ -301,6 +301,9 @@ void QueryServer::HandleConnection(uint64_t conn_id, int fd) {
           break;
         }
         case Opcode::kGoodbye:
+          // Close before replying: once the client sees kOk, the
+          // session's cursors and pinned snapshots are already gone.
+          sessions_.Close(session->id);
           io = WriteFrame(fd, Opcode::kOk, {});
           goodbye = true;
           break;
@@ -399,7 +402,7 @@ Status QueryServer::HandleExecute(int fd, Session& session,
   }
   api::ExecuteOptions options;
   options.limits = session.config.limits;
-  options.use_columnar = (flags.value() & 0x1) != 0;
+  // `flags` is reserved: every bit is ignored (docs/PROTOCOL.md).
   options.threads = session.config.exec_threads;
   for (uint32_t i = 0; i < n_params.value(); ++i) {
     auto name = reader.GetString();

@@ -39,9 +39,6 @@ struct SessionConfig {
   /// kQuota protocol error, not a hidden eviction.
   int max_cursors = 8;
   int max_statements = 64;
-  /// Relational lanes run columnar by default (faster, identical
-  /// results).
-  bool use_columnar = true;
   /// Morsel workers per execution.
   int exec_threads = 1;
 };

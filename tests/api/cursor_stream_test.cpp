@@ -8,8 +8,9 @@
 // are pinned here over a result big enough to matter (100k items):
 //
 //   * an open, undrained cursor retains tracked memory proportional to
-//     the budget/batch, not to the result — compared directly against
-//     the materializing row lane's cursor over the same query;
+//     the budget/batch, not to the result — compared directly against a
+//     cursor over the same query with no memory budget, whose final sort
+//     breaker holds the whole result in memory;
 //   * a fetch that times out still accrues its wall time into
 //     stats().fetch_seconds (regression: the old FetchNext added the
 //     elapsed time only on the success path, so timed-out fetches did
@@ -72,11 +73,9 @@ TEST_F(CursorStreamTest, OpenCursorRetainsBatchNotResult) {
   auto pq = PrepareStacked("big.xml");
   ASSERT_TRUE(pq.ok()) << pq.status().ToString();
 
-  // The materializing row lane is both the items oracle and the memory
-  // baseline: its cursor retains the entire result sequence.
-  api::ExecuteOptions row;
-  row.use_columnar = false;
-  auto oracle = processor_->Execute(pq.value(), row);
+  // The unbudgeted execution is both the items oracle and the memory
+  // baseline: its cursor retains the entire sorted result in memory.
+  auto oracle = processor_->Execute(pq.value(), api::ExecuteOptions{});
   ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
   ASSERT_TRUE(oracle.value()->Prime().ok());
   const int64_t materialized_retained =
@@ -87,7 +86,6 @@ TEST_F(CursorStreamTest, OpenCursorRetainsBatchNotResult) {
   ASSERT_EQ(static_cast<int64_t>(oracle_items.value().size()), kBigRows);
 
   api::ExecuteOptions exec;
-  exec.use_columnar = true;
   exec.limits.max_memory_bytes = 128 * 1024;
   auto cursor = processor_->Execute(pq.value(), exec);
   ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
@@ -100,7 +98,7 @@ TEST_F(CursorStreamTest, OpenCursorRetainsBatchNotResult) {
   ASSERT_GT(cursor.value()->stats().engine.spill_events, 0);
 
   // O(batch), enforced against the baseline and in absolute terms: far
-  // below the 800 KB the materialized lane retains for the same result.
+  // below the 800 KB the unbudgeted cursor retains for the same result.
   const int64_t bound = kBigRows * 8 / 2;
   EXPECT_LT(cursor.value()->retained_memory_bytes(), bound);
   EXPECT_LT(cursor.value()->retained_memory_bytes(), materialized_retained);
@@ -131,7 +129,6 @@ TEST_F(CursorStreamTest, TimedOutFetchStillAccruesFetchSeconds) {
   // whose per-row Tick is what notices the expired deadline (the
   // in-memory path never ticks, hence the spill-forcing budget).
   api::ExecuteOptions exec;
-  exec.use_columnar = true;
   exec.limits.max_memory_bytes = 64 * 1024;
   exec.limits.timeout_seconds = 2.0;
   auto cursor = processor_->Execute(pq.value(), exec);

@@ -191,9 +191,7 @@ TEST_F(DeltaReloadTest, PinnedCursorDrainsOldSnapshotBitIdentically) {
   popts.mode = Mode::kStacked;
   auto prepared = processor_.Prepare("doc(\"b.xml\")//c", popts);
   ASSERT_TRUE(prepared.ok());
-  ExecuteOptions eopts;
-  eopts.use_columnar = true;
-  auto cursor = processor_.Execute(prepared.value(), eopts);
+  auto cursor = processor_.Execute(prepared.value());
   ASSERT_TRUE(cursor.ok());
 
   // Reload under the open cursor, then drain: the cursor executes

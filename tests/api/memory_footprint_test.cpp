@@ -1,6 +1,6 @@
 // Memory-footprint regression for the shared document block: after
-// forcing every RELATIONAL lane of one corpus — the row-lane DocTable
-// view, the engine::Database storage, and a columnar execution — the
+// forcing every RELATIONAL lane of one corpus — the DocTable view, the
+// engine::Database storage, and a stacked and a join-graph execution — the
 // bytes retained across all of them must stay within ~1.15× of ONE
 // shared block (pre-refactor, each lane materialized its own typed copy:
 // ~3×). The native stores stay lazy when never queried natively, so
@@ -26,19 +26,18 @@ TEST(MemoryFootprint, CorpusIsStoredOnceAcrossRelationalLanes) {
                                 XmarkSegmentTags())
                   .ok());
 
-  // Force every relational lane: the row lane's DocTable view and the
-  // database (B-trees included), then one columnar and one row execution
+  // Force every relational lane: the DocTable view and the database
+  // (B-trees included), then one join-graph and one stacked execution
   // (whose doc-relation batches view the same block).
   ASSERT_TRUE(processor.CreateRelationalIndexes().ok());
-  RunOptions columnar;
-  columnar.mode = Mode::kJoinGraph;
-  columnar.use_columnar = true;
-  columnar.context_document = "auction.xml";
-  ASSERT_TRUE(processor.Run("/site/people/person", columnar).ok());
-  RunOptions row;
-  row.mode = Mode::kStacked;
-  row.context_document = "auction.xml";
-  ASSERT_TRUE(processor.Run("/site/people/person", row).ok());
+  RunOptions joingraph;
+  joingraph.mode = Mode::kJoinGraph;
+  joingraph.context_document = "auction.xml";
+  ASSERT_TRUE(processor.Run("/site/people/person", joingraph).ok());
+  RunOptions stacked;
+  stacked.mode = Mode::kStacked;
+  stacked.context_document = "auction.xml";
+  ASSERT_TRUE(processor.Run("/site/people/person", stacked).ok());
 
   auto snap = processor.snapshot();
   const auto block = snap->doc_table()->block();

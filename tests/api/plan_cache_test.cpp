@@ -108,9 +108,9 @@ TEST_F(PlanCacheTest, RunRoutesThroughTheCache) {
   PlanCache::Stats stats = processor_.plan_cache_stats();
   EXPECT_EQ(stats.hits, 1);
   EXPECT_EQ(stats.misses, 1);
-  // Row vs columnar execution share one cached plan (executor selection
-  // is not prepare-relevant).
-  options.use_columnar = true;
+  // Serial and parallel execution share one cached plan (the worker
+  // count is not prepare-relevant).
+  options.threads = 8;
   ASSERT_TRUE(processor_.Run(query_, options).ok());
   EXPECT_EQ(processor_.plan_cache_stats().hits, 2);
 }

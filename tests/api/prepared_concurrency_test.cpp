@@ -1,6 +1,6 @@
 // Concurrent execution: N threads share one immutable PreparedQuery per
-// paper query (row and columnar executors alike) and every thread's
-// result must equal the single-threaded oracle. This is the suite the CI
+// paper query (serial and morsel-parallel executions alike) and every
+// thread's result must equal the single-threaded oracle. This is the suite the CI
 // ThreadSanitizer job runs — any shared mutable state in the execution
 // layers surfaces here as a data race or a differential mismatch.
 #include <gtest/gtest.h>
@@ -58,7 +58,7 @@ struct ThreadOutcome {
 std::vector<ThreadOutcome> ExecuteConcurrently(
     const XQueryProcessor& processor,
     const std::shared_ptr<const PreparedQuery>& prepared, int threads,
-    bool alternate_executors) {
+    bool alternate_workers) {
   std::vector<ThreadOutcome> outcomes(static_cast<size_t>(threads));
   std::vector<std::thread> pool;
   pool.reserve(static_cast<size_t>(threads));
@@ -66,9 +66,9 @@ std::vector<ThreadOutcome> ExecuteConcurrently(
     pool.emplace_back([&, t]() {
       ExecuteOptions options;
       options.limits.timeout_seconds = 120;
-      // Odd threads run the columnar executors against even threads'
-      // row-at-a-time execution of the very same plan.
-      options.use_columnar = alternate_executors && (t % 2 == 1);
+      // Odd threads fan the very same plan out over 8 morsel workers
+      // while even threads run it serially.
+      options.threads = alternate_workers && (t % 2 == 1) ? 8 : 1;
       auto result = processor.ExecuteAll(prepared, options);
       if (result.ok()) {
         outcomes[static_cast<size_t>(t)].items =
@@ -99,21 +99,21 @@ TEST_P(PaperQueryConcurrency, ThreadsShareOnePreparedQueryAndAgree) {
   auto prepared = processor_->Prepare(query->text, prep);
   ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
 
-  // Single-threaded oracle, row executor.
+  // Single-threaded, serial oracle.
   ExecuteOptions oracle_options;
   oracle_options.limits.timeout_seconds = 120;
   auto oracle = processor_->ExecuteAll(prepared.value(), oracle_options);
   ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
 
   auto outcomes = ExecuteConcurrently(*processor_, prepared.value(), kThreads,
-                                      /*alternate_executors=*/true);
+                                      /*alternate_workers=*/true);
   for (int t = 0; t < kThreads; ++t) {
     const ThreadOutcome& outcome = outcomes[static_cast<size_t>(t)];
     ASSERT_TRUE(outcome.status.ok())
         << query->id << " thread " << t << ": " << outcome.status.ToString();
     EXPECT_EQ(outcome.items, oracle.value().items)
         << query->id << " thread " << t
-        << (t % 2 == 1 ? " (columnar)" : " (row)");
+        << (t % 2 == 1 ? " (threads=8)" : " (threads=1)");
   }
 }
 
@@ -138,7 +138,7 @@ TEST_F(PreparedConcurrencyTest, StackedAndNativeModesExecuteConcurrently) {
     ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
     auto outcomes =
         ExecuteConcurrently(*processor_, prepared.value(), kThreads,
-                            /*alternate_executors=*/mode == Mode::kStacked);
+                            /*alternate_workers=*/mode == Mode::kStacked);
     for (const ThreadOutcome& outcome : outcomes) {
       ASSERT_TRUE(outcome.status.ok()) << outcome.status.ToString();
       EXPECT_EQ(outcome.items, oracle.value().items) << ModeToString(mode);
@@ -177,7 +177,7 @@ TEST_F(PreparedConcurrencyTest, WriterMutatesCatalogUnderLiveCursors) {
   std::vector<std::unique_ptr<ResultCursor>> cursors;
   for (int t = 0; t < kThreads; ++t) {
     ExecuteOptions options = exec;
-    options.use_columnar = (t % 2 == 1);
+    options.threads = t % 2 == 1 ? 8 : 1;
     auto cursor = processor_->Execute(jg.value(), options);
     ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
     auto first = cursor.value()->FetchNext(1);
@@ -208,7 +208,7 @@ TEST_F(PreparedConcurrencyTest, WriterMutatesCatalogUnderLiveCursors) {
       // across every writer mutation.
       for (int round = 0; round < kWriterRounds; ++round) {
         ExecuteOptions options = exec;
-        options.use_columnar = (t % 2 == 1);
+        options.threads = t % 2 == 1 ? 8 : 1;
         auto result = processor_->ExecuteAll(stacked.value(), options);
         if (!result.ok()) {
           out.status = result.status();
@@ -302,7 +302,6 @@ TEST_F(PreparedConcurrencyTest, MultiWorkerExecutionsUnderLiveCatalogMutation) {
       const auto& prepared = (t % 2 == 0) ? jg.value() : stacked.value();
       for (int round = 0; round < kRounds; ++round) {
         ExecuteOptions options = serial;
-        options.use_columnar = true;
         options.threads = 8;
         auto result = processor_->ExecuteAll(prepared, options);
         if (!result.ok()) {

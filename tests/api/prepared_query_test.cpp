@@ -244,26 +244,26 @@ TEST_F(PreparedQueryTest, ExecuteLimitsApplyPerExecution) {
   options.context_document = "site.xml";
   auto prepared = processor_.Prepare(query_, options);
   ASSERT_TRUE(prepared.ok());
-  for (bool columnar : {false, true}) {
-    // The planner executors must honor both DNF budgets per execution.
+  for (int threads : {1, 8}) {
+    // The plan executor must honor both DNF budgets per execution.
     ExecuteOptions timeout;
-    timeout.use_columnar = columnar;
+    timeout.threads = threads;
     timeout.limits.timeout_seconds = 1e-9;
     auto timed = processor_.ExecuteAll(prepared.value(), timeout);
-    ASSERT_FALSE(timed.ok()) << (columnar ? "columnar" : "row");
+    ASSERT_FALSE(timed.ok()) << "threads=" << threads;
     EXPECT_EQ(timed.status().code(), StatusCode::kTimeout);
 
     ExecuteOptions rows;
-    rows.use_columnar = columnar;
+    rows.threads = threads;
     rows.limits.max_intermediate_rows = 1;
     auto bounded = processor_.ExecuteAll(prepared.value(), rows);
-    ASSERT_FALSE(bounded.ok()) << (columnar ? "columnar" : "row");
+    ASSERT_FALSE(bounded.ok()) << "threads=" << threads;
     EXPECT_EQ(bounded.status().code(), StatusCode::kTimeout);
 
     // The same artifact still executes unlimited afterwards (budgets are
     // per execution, not baked into the plan).
     ExecuteOptions unlimited;
-    unlimited.use_columnar = columnar;
+    unlimited.threads = threads;
     auto ok = processor_.ExecuteAll(prepared.value(), unlimited);
     ASSERT_TRUE(ok.ok()) << ok.status().ToString();
     EXPECT_GT(ok.value().result_count(), 0u);
@@ -296,9 +296,9 @@ class ParameterizedQueryTest : public PreparedQueryTest {
 
   static Result<RunResult> Bind(XQueryProcessor& processor,
                                 const std::shared_ptr<const PreparedQuery>& pq,
-                                Value v, bool columnar) {
+                                Value v, int threads = 1) {
     ExecuteOptions exec;
-    exec.use_columnar = columnar;
+    exec.threads = threads;
     exec.parameters["minprice"] = std::move(v);
     return processor.ExecuteAll(pq, exec);
   }
@@ -317,8 +317,8 @@ TEST_F(ParameterizedQueryTest, OnePlanServesALiteralFamily) {
   EXPECT_NE(prepared.value()->sql.find("?"), std::string::npos)
       << prepared.value()->sql;
 
-  // Each binding must agree with the equivalent literal query, through
-  // BOTH physical-plan executors, off the ONE cached artifact.
+  // Each binding must agree with the equivalent literal query, serial and
+  // morsel-parallel, off the ONE cached artifact.
   const std::pair<double, const char*> family[] = {
       {10.0, "//item[price > 10.0]/name"},
       {20.0, "//item[price > 20.0]/name"},
@@ -330,16 +330,16 @@ TEST_F(ParameterizedQueryTest, OnePlanServesALiteralFamily) {
     run.context_document = "site.xml";
     auto literal = processor_.Run(literal_text, run);
     ASSERT_TRUE(literal.ok()) << literal.status().ToString();
-    for (bool columnar : {false, true}) {
+    for (int threads : {1, 8}) {
       auto bound =
-          Bind(processor_, prepared.value(), Value::Double(value), columnar);
+          Bind(processor_, prepared.value(), Value::Double(value), threads);
       ASSERT_TRUE(bound.ok()) << bound.status().ToString();
       EXPECT_EQ(bound.value().items, literal.value().items)
-          << literal_text << (columnar ? " (columnar)" : " (row)");
+          << literal_text << " threads=" << threads;
     }
   }
   // Integer bindings hit the same numeric comparison.
-  auto int_bound = Bind(processor_, prepared.value(), Value::Int(10), false);
+  auto int_bound = Bind(processor_, prepared.value(), Value::Int(10));
   ASSERT_TRUE(int_bound.ok());
   EXPECT_EQ(int_bound.value().result_count(), 2u);
 
@@ -360,9 +360,9 @@ TEST_F(ParameterizedQueryTest, StringParametersUseTheValueColumn) {
   ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
   ASSERT_EQ(prepared.value()->parameters.size(), 1u);
   EXPECT_FALSE(prepared.value()->parameters[0].numeric);
-  for (bool columnar : {false, true}) {
+  for (int threads : {1, 8}) {
     ExecuteOptions exec;
-    exec.use_columnar = columnar;
+    exec.threads = threads;
     exec.parameters["wanted"] = Value::String("vase");
     auto result = processor_.ExecuteAll(prepared.value(), exec);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -424,8 +424,8 @@ TEST_F(ParameterizedQueryTest, BindingsAreValidated) {
 TEST_F(ParameterizedQueryTest, StackedModeExecutesParameters) {
   // The stacked lane resolves parameter markers in its compiled plan at
   // execute time (ResolveParams substitution) — one cached stacked plan
-  // serves the literal family, row and columnar executors agreeing with
-  // the equivalent literal query.
+  // serves the literal family, serial and morsel-parallel executions
+  // agreeing with the equivalent literal query.
   PrepareOptions options;
   options.mode = Mode::kStacked;
   options.context_document = "site.xml";
@@ -445,12 +445,12 @@ TEST_F(ParameterizedQueryTest, StackedModeExecutesParameters) {
     run.context_document = "site.xml";
     auto literal = processor_.Run(literal_text, run);
     ASSERT_TRUE(literal.ok()) << literal.status().ToString();
-    for (bool columnar : {false, true}) {
+    for (int threads : {1, 8}) {
       auto bound =
-          Bind(processor_, prepared.value(), Value::Double(value), columnar);
+          Bind(processor_, prepared.value(), Value::Double(value), threads);
       ASSERT_TRUE(bound.ok()) << bound.status().ToString();
       EXPECT_EQ(bound.value().items, literal.value().items)
-          << value << (columnar ? " (columnar)" : " (row)");
+          << value << " threads=" << threads;
     }
   }
 
@@ -483,8 +483,7 @@ TEST_F(ParameterizedQueryTest, NativeModesExecuteParameters) {
                                        std::to_string(value) + "]/name";
       auto literal = processor_.Run(literal_text, run);
       ASSERT_TRUE(literal.ok()) << literal.status().ToString();
-      auto bound = Bind(processor_, prepared.value(), Value::Double(value),
-                        /*use_columnar=*/false);
+      auto bound = Bind(processor_, prepared.value(), Value::Double(value));
       ASSERT_TRUE(bound.ok())
           << ModeToString(mode) << ": " << bound.status().ToString();
       EXPECT_EQ(bound.value().items, literal.value().items)

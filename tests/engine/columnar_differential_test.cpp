@@ -1,7 +1,8 @@
-// Differential suite for the columnar batch executor: the row executor,
-// the columnar executor, and the native interpreter must agree — on the
-// paper's Q1–Q6 (stacked and isolated/join-graph execution) and on a
-// family of queries over seeded randomized documents.
+// Differential suite for the columnar executors: the row evaluator (the
+// algebra-level reference), the columnar executors, and the native
+// interpreter must agree — on the paper's Q1–Q6 (stacked and
+// isolated/join-graph execution) and on a family of queries over seeded
+// randomized documents.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -13,9 +14,11 @@
 #include "src/data/dblp.h"
 #include "src/data/xmark.h"
 #include "src/engine/algebra_exec.h"
+#include "src/engine/columnar/columnar_exec.h"
 #include "src/native/interp.h"
 #include "src/opt/isolate.h"
 #include "src/xml/parser.h"
+#include "src/xml/serializer.h"
 #include "src/xquery/normalize.h"
 #include "src/xquery/parser.h"
 #include "tests/testutil/fixtures.h"
@@ -62,25 +65,38 @@ TEST_P(ColumnarPaperQueryCase, RowAndColumnarAgreeInEveryRelationalMode) {
   api::RunOptions options;
   options.context_document = query->document;
   options.timeout_seconds = 120;
+  // The row evaluator runs the same algebra plan the mode compiled (the
+  // stacked plan, or the isolated DAG the join graph was extracted from)
+  // and must produce the columnar lane's items.
+  const xml::DocTable& doc = processor_->doc_table();
   for (api::Mode mode : {api::Mode::kStacked, api::Mode::kJoinGraph}) {
-    options.mode = mode;
-    options.use_columnar = false;
-    auto row = processor_->Run(query->text, options);
-    ASSERT_TRUE(row.ok()) << row.status().ToString();
-    options.use_columnar = true;
-    auto col = processor_->Run(query->text, options);
+    api::PrepareOptions prep;
+    prep.mode = mode;
+    prep.context_document = query->document;
+    auto prepared = processor_->Prepare(query->text, prep);
+    ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+    api::ExecuteOptions exec;
+    exec.limits.timeout_seconds = 120;
+    auto col = processor_->ExecuteAll(prepared.value(), exec);
     ASSERT_TRUE(col.ok()) << col.status().ToString();
-    EXPECT_EQ(row.value().items, col.value().items)
+    const algebra::OpPtr& plan = mode == api::Mode::kStacked
+                                     ? prepared.value()->stacked
+                                     : prepared.value()->isolated;
+    auto row = engine::EvaluateToSequence(plan, doc, exec.limits);
+    ASSERT_TRUE(row.ok()) << row.status().ToString();
+    std::vector<std::string> row_items;
+    for (int64_t pre : row.value()) {
+      row_items.push_back(xml::SerializeSubtree(doc, pre));
+    }
+    EXPECT_EQ(row_items, col.value().items)
         << query->id << " row vs columnar in mode "
         << api::ModeToString(mode);
   }
-  // Both must also match the native interpreter.
+  // The columnar join graph must also match the native interpreter.
   options.mode = api::Mode::kNativeWhole;
-  options.use_columnar = false;
   auto native = processor_->Run(query->text, options);
   ASSERT_TRUE(native.ok()) << native.status().ToString();
   options.mode = api::Mode::kJoinGraph;
-  options.use_columnar = true;
   auto col = processor_->Run(query->text, options);
   ASSERT_TRUE(col.ok());
   EXPECT_EQ(native.value().items, col.value().items)
@@ -95,8 +111,9 @@ INSTANTIATE_TEST_SUITE_P(PaperQueries, ColumnarPaperQueryCase,
                          });
 
 // ---------------------------------------------------------------------------
-// Randomized documents: stacked and isolated plans under both executors
-// against the native interpreter, across seeds.
+// Randomized documents: stacked and isolated plans under the row
+// evaluator and the columnar executor against the native interpreter,
+// across seeds.
 
 const char* kRandomQueries[] = {
     "doc(\"rand.xml\")//a",
@@ -121,9 +138,6 @@ TEST_P(RandomDocCase, StackedAndIsolatedAgreeUnderBothExecutors) {
   ASSERT_TRUE(dom.ok()) << dom.status().ToString();
   native::MapResolver resolver;
   resolver.Add(dom.value().get());
-  engine::ExecOptions row_opts;
-  engine::ExecOptions col_opts;
-  col_opts.use_columnar = true;
   for (const char* query : kRandomQueries) {
     auto ast = xquery::Parse(query);
     ASSERT_TRUE(ast.ok()) << query << ": " << ast.status().ToString();
@@ -142,9 +156,10 @@ TEST_P(RandomDocCase, StackedAndIsolatedAgreeUnderBothExecutors) {
     for (const auto& [label, plan] :
          {std::pair<const char*, algebra::OpPtr>{"stacked", stacked.value()},
           {"isolated", iso.value().isolated}}) {
-      auto row = engine::EvaluateToSequence(plan, doc, row_opts);
+      auto row = engine::EvaluateToSequence(plan, doc);
       ASSERT_TRUE(row.ok()) << query << " " << label;
-      auto col = engine::EvaluateToSequence(plan, doc, col_opts);
+      auto col = testutil::Drain(
+          engine::columnar::OpenSequenceStreamColumnar(plan, doc, {}));
       ASSERT_TRUE(col.ok()) << query << " " << label;
       EXPECT_EQ(row.value(), expected)
           << query << " " << label << " row vs native (seed " << GetParam()

@@ -1,8 +1,8 @@
 // Columnar batch executor: typed-column round trips, operator-level
-// row-vs-columnar agreement on hand-built plans, the NULL-join-key
-// regression (NULL keys must never match in a hash join, in either
-// executor), and the memoization regression (shared sub-plans are
-// materialized — and counted — exactly once).
+// agreement with the row evaluator on hand-built plans, the NULL-join-key
+// regression (NULL keys must never match in a hash join, in the algebra
+// and the physical-plan executor), and the memoization regression
+// (shared sub-plans are materialized — and counted — exactly once).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +12,8 @@
 #include "src/common/value_column.h"
 #include "src/engine/algebra_exec.h"
 #include "src/engine/columnar/column_batch.h"
+#include "src/engine/columnar/columnar_exec.h"
+#include "src/engine/columnar/plan_exec.h"
 #include "src/engine/database.h"
 #include "src/engine/planner.h"
 #include "tests/testutil/fixtures.h"
@@ -47,14 +49,13 @@ void ExpectTablesEqual(const MatTable& a, const MatTable& b,
   }
 }
 
-/// Evaluates `plan` under both executors and requires identical tables.
+/// Evaluates `plan` under the row evaluator and the columnar executor and
+/// requires identical tables.
 MatTable EvalBothWays(const OpPtr& plan, const xml::DocTable& doc,
                       const char* what) {
   auto row = Evaluate(plan, doc);
   EXPECT_TRUE(row.ok()) << row.status().ToString();
-  ExecOptions columnar;
-  columnar.use_columnar = true;
-  auto col = Evaluate(plan, doc, columnar);
+  auto col = columnar::EvaluateColumnar(plan, doc);
   EXPECT_TRUE(col.ok()) << col.status().ToString();
   if (row.ok() && col.ok()) {
     ExpectTablesEqual(row.value(), col.value(), what);
@@ -153,9 +154,8 @@ TEST(ColumnarExec, OperatorsAgreeWithRowExecutorOnHandBuiltPlans) {
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
   EvalBothWays(plan.value(), doc, "compiled plan");
   auto row_seq = EvaluateToSequence(plan.value(), doc);
-  ExecOptions copts;
-  copts.use_columnar = true;
-  auto col_seq = EvaluateToSequence(plan.value(), doc, copts);
+  auto col_seq = testutil::Drain(
+      columnar::OpenSequenceStreamColumnar(plan.value(), doc, {}));
   ASSERT_TRUE(row_seq.ok());
   ASSERT_TRUE(col_seq.ok());
   EXPECT_EQ(row_seq.value(), col_seq.value());
@@ -229,24 +229,17 @@ TEST(ColumnarExec, NullKeysNeverMatchInPhysicalHashJoin) {
   join->left = std::move(scan0);
   join->right = std::move(scan1);
   plan.root = std::move(join);
-  for (bool columnar : {false, true}) {
-    PlannerOptions popts;
-    popts.use_columnar = columnar;
-    auto seq = ExecutePlan(plan, *db, popts);
-    ASSERT_TRUE(seq.ok()) << seq.status().ToString();
-    EXPECT_EQ(seq.value(), expected) << (columnar ? "columnar" : "row");
-  }
+  auto seq = testutil::Drain(
+      columnar::OpenPlanStreamColumnar(plan, *db, {}, nullptr));
+  ASSERT_TRUE(seq.ok()) << seq.status().ToString();
+  EXPECT_EQ(seq.value(), expected) << "hand-built";
   // And the cost-based plan must agree as well.
-  for (bool columnar : {false, true}) {
-    PlannerOptions popts;
-    popts.use_columnar = columnar;
-    auto planned = PlanJoinGraph(graph, *db, popts);
-    ASSERT_TRUE(planned.ok()) << planned.status().ToString();
-    auto seq = ExecutePlan(planned.value(), *db, popts);
-    ASSERT_TRUE(seq.ok()) << seq.status().ToString();
-    EXPECT_EQ(seq.value(), expected)
-        << (columnar ? "columnar planned" : "row planned");
-  }
+  auto planned = PlanJoinGraph(graph, *db);
+  ASSERT_TRUE(planned.ok()) << planned.status().ToString();
+  auto planned_seq = testutil::Drain(
+      columnar::OpenPlanStreamColumnar(planned.value(), *db, {}, nullptr));
+  ASSERT_TRUE(planned_seq.ok()) << planned_seq.status().ToString();
+  EXPECT_EQ(planned_seq.value(), expected) << "planned";
 }
 
 TEST(ColumnarExec, SharedSubPlansMaterializeOnce) {
@@ -257,18 +250,18 @@ TEST(ColumnarExec, SharedSubPlansMaterializeOnce) {
   OpPtr left = MakeProject(shared, {{"x", "n"}});
   OpPtr right = MakeProject(shared, {{"y", "n"}});
   OpPtr cross = MakeCross(left, right);
-  for (bool columnar : {false, true}) {
+  for (bool batched : {false, true}) {
     ExecStats stats;
     ExecOptions options;
-    options.use_columnar = columnar;
     options.stats = &stats;
-    auto result = Evaluate(cross, doc, options);
+    auto result = batched ? columnar::EvaluateColumnar(cross, doc, options)
+                           : Evaluate(cross, doc, options);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     EXPECT_EQ(result.value().rows.size(), 25u);
     // shared (5) + two projections (5 + 5) + cross (25); the old
     // evaluator's per-hit deep copy would double the shared table.
     EXPECT_EQ(stats.tuples_materialized, 40)
-        << (columnar ? "columnar" : "row");
+        << (batched ? "columnar" : "row");
     EXPECT_EQ(stats.rows_out, 25);
   }
 }

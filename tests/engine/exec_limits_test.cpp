@@ -1,11 +1,13 @@
 // ExecLimits DNF guards: both budget knobs must surface Status::Timeout
-// through every entry point (Evaluate, EvaluateToSequence, the processor
-// facade) instead of crashing or looping — they emulate the paper's
-// 20-hour cutoff, so tripping them is a supported outcome, not a fault.
+// through every entry point (the row evaluator's Evaluate and
+// EvaluateToSequence, the columnar executors, the processor facade)
+// instead of crashing or looping — they emulate the paper's 20-hour
+// cutoff, so tripping them is a supported outcome, not a fault.
 #include <gtest/gtest.h>
 
 #include "src/api/processor.h"
 #include "src/engine/algebra_exec.h"
+#include "src/engine/columnar/columnar_exec.h"
 #include "src/xml/parser.h"
 #include "tests/testutil/fixtures.h"
 
@@ -94,21 +96,17 @@ TEST(ExecLimits, ColumnarExecutorHonorsBothBudgets) {
   xml::DocTable doc = testutil::LoadDoc("x", "<x/>");
   OpPtr cross = MakeCross(WideLiteral("a", 200), WideLiteral("b", 200));
   ExecOptions timeout;
-  timeout.use_columnar = true;
   timeout.limits.timeout_seconds = 1e-6;
-  auto timed = Evaluate(cross, doc, timeout);
+  auto timed = columnar::EvaluateColumnar(cross, doc, timeout);
   ASSERT_FALSE(timed.ok());
   EXPECT_EQ(timed.status().code(), StatusCode::kTimeout);
   ExecOptions rows;
-  rows.use_columnar = true;
   rows.limits.max_intermediate_rows = 50;
-  auto bounded = Evaluate(cross, doc, rows);
+  auto bounded = columnar::EvaluateColumnar(cross, doc, rows);
   ASSERT_FALSE(bounded.ok());
   EXPECT_EQ(bounded.status().code(), StatusCode::kTimeout);
-  // Unlimited still evaluates, identically to the row executor.
-  ExecOptions unlimited;
-  unlimited.use_columnar = true;
-  auto ok = Evaluate(cross, doc, unlimited);
+  // Unlimited still evaluates, identically to the row evaluator.
+  auto ok = columnar::EvaluateColumnar(cross, doc);
   ASSERT_TRUE(ok.ok()) << ok.status().ToString();
   EXPECT_EQ(ok.value().rows.size(), 40000u);
 }
@@ -118,50 +116,49 @@ TEST(ExecLimits, RankAndSerializeLoopsHonorTheDeadline) {
   // through both executors instead of sorting past the budget.
   xml::DocTable doc = testutil::LoadDoc("x", "<x/>");
   OpPtr ranked = algebra::MakeRank(WideLiteral("a", 5000), "rnk", {"a"});
-  for (bool columnar : {false, true}) {
-    ExecOptions options;
-    options.use_columnar = columnar;
-    options.limits.timeout_seconds = 1e-9;
-    auto result = Evaluate(ranked, doc, options);
-    ASSERT_FALSE(result.ok()) << (columnar ? "columnar" : "row");
-    EXPECT_EQ(result.status().code(), StatusCode::kTimeout);
-  }
+  ExecOptions options;
+  options.limits.timeout_seconds = 1e-9;
+  auto row = Evaluate(ranked, doc, options);
+  ASSERT_FALSE(row.ok()) << "row";
+  EXPECT_EQ(row.status().code(), StatusCode::kTimeout);
+  auto col = columnar::EvaluateColumnar(ranked, doc, options);
+  ASSERT_FALSE(col.ok()) << "columnar";
+  EXPECT_EQ(col.status().code(), StatusCode::kTimeout);
   xml::DocTable site = testutil::LoadDoc("site.xml", testutil::TinySiteXml());
   auto plan = testutil::CompileToPlan("doc(\"site.xml\")//item", "site.xml");
   ASSERT_TRUE(plan.ok());
-  for (bool columnar : {false, true}) {
-    ExecOptions options;
-    options.use_columnar = columnar;
-    options.limits.timeout_seconds = 1e-9;
-    auto seq = EvaluateToSequence(plan.value(), site, options);
-    ASSERT_FALSE(seq.ok()) << (columnar ? "columnar" : "row");
-    EXPECT_EQ(seq.status().code(), StatusCode::kTimeout);
-  }
+  auto row_seq = EvaluateToSequence(plan.value(), site, options);
+  ASSERT_FALSE(row_seq.ok()) << "row";
+  EXPECT_EQ(row_seq.status().code(), StatusCode::kTimeout);
+  auto col_seq = testutil::Drain(
+      columnar::OpenSequenceStreamColumnar(plan.value(), site, options));
+  ASSERT_FALSE(col_seq.ok()) << "columnar";
+  EXPECT_EQ(col_seq.status().code(), StatusCode::kTimeout);
 }
 
 TEST(ExecLimits, PhysicalPlanExecutorsHonorTheDeadline) {
-  // The cost-based engine (row and columnar): Timeout must surface through
-  // the processor facade's join-graph mode.
+  // The cost-based engine, serial and morsel-parallel: Timeout must
+  // surface through the processor facade's join-graph mode.
   api::XQueryProcessor processor;
   ASSERT_TRUE(processor
                   .LoadDocument("site.xml", testutil::TinySiteXml())
                   .ok());
-  for (bool columnar : {false, true}) {
+  for (int threads : {1, 8}) {
     api::RunOptions options;
     options.mode = api::Mode::kJoinGraph;
     options.context_document = "site.xml";
     options.timeout_seconds = 1e-9;
-    options.use_columnar = columnar;
+    options.threads = threads;
     auto result = processor.Run("//item[price > 10.0]/name", options);
-    ASSERT_FALSE(result.ok()) << (columnar ? "columnar" : "row");
+    ASSERT_FALSE(result.ok()) << "threads=" << threads;
     EXPECT_EQ(result.status().code(), StatusCode::kTimeout)
         << result.status().ToString();
   }
 }
 
 TEST(ExecLimits, PhysicalPlanExecutorsHonorTheRowBudget) {
-  // max_intermediate_rows through the cost-based engine (both the row and
-  // the columnar plan executor). Without relational indexes the plan is
+  // max_intermediate_rows through the cost-based engine, serial and
+  // morsel-parallel. Without relational indexes the plan is
   // TBSCAN + NLJOIN (table-scan and join-loop guard points); with the
   // Table VI set it probes IXSCANs (B-tree callback guard point).
   for (bool with_indexes : {false, true}) {
@@ -177,14 +174,13 @@ TEST(ExecLimits, PhysicalPlanExecutorsHonorTheRowBudget) {
     auto prepared = processor.Prepare("//item[price > 10.0]/name", prep);
     ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
     ASSERT_TRUE(prepared.value()->has_plan);
-    for (bool columnar : {false, true}) {
+    for (int threads : {1, 8}) {
       api::ExecuteOptions bounded;
-      bounded.use_columnar = columnar;
+      bounded.threads = threads;
       bounded.limits.max_intermediate_rows = 1;
       auto result = processor.ExecuteAll(prepared.value(), bounded);
       ASSERT_FALSE(result.ok())
-          << (with_indexes ? "indexed" : "bare") << "/"
-          << (columnar ? "columnar" : "row");
+          << (with_indexes ? "indexed" : "bare") << "/threads=" << threads;
       EXPECT_EQ(result.status().code(), StatusCode::kTimeout)
           << result.status().ToString();
       // The budget is per execution: the same plan still runs unlimited.
@@ -199,7 +195,7 @@ TEST(ExecLimits, PhysicalPlanExecutorsHonorTheRowBudget) {
 TEST(ExecLimits, LateMaterializedFilterChainsHonorBothBudgets) {
   // A σ∘σ∘δ chain runs as selection vectors in the columnar executor
   // (no gathers until the tail); both budget knobs must still trip inside
-  // the selection loops, and the row executor stays the oracle.
+  // the selection loops, and the row evaluator stays the reference.
   xml::DocTable doc = testutil::LoadDoc("x", "<x/>");
   OpPtr lit = WideLiteral("a", 5000);
   using algebra::MakeSelect;
@@ -211,25 +207,25 @@ TEST(ExecLimits, LateMaterializedFilterChainsHonorBothBudgets) {
                                    Term::Const(Value::Int(10)))),
       Predicate::Single(Term::Col("a"), algebra::CmpOp::kLt,
                         Term::Const(Value::Int(4000))));
-  for (bool columnar : {false, true}) {
+  for (bool batched : {false, true}) {
+    auto eval = [&](const ExecOptions& options) {
+      return batched ? columnar::EvaluateColumnar(chain, doc, options)
+                     : Evaluate(chain, doc, options);
+    };
     ExecOptions timeout;
-    timeout.use_columnar = columnar;
     timeout.limits.timeout_seconds = 1e-9;
-    auto timed = Evaluate(chain, doc, timeout);
-    ASSERT_FALSE(timed.ok()) << (columnar ? "columnar" : "row");
+    auto timed = eval(timeout);
+    ASSERT_FALSE(timed.ok()) << (batched ? "columnar" : "row");
     EXPECT_EQ(timed.status().code(), StatusCode::kTimeout);
     ExecOptions rows;
-    rows.use_columnar = columnar;
     rows.limits.max_intermediate_rows = 100;
-    auto bounded = Evaluate(chain, doc, rows);
-    ASSERT_FALSE(bounded.ok()) << (columnar ? "columnar" : "row");
+    auto bounded = eval(rows);
+    ASSERT_FALSE(bounded.ok()) << (batched ? "columnar" : "row");
     EXPECT_EQ(bounded.status().code(), StatusCode::kTimeout);
   }
   // Unlimited: both executors agree through the lazy chain.
   auto row = Evaluate(chain, doc, ExecOptions{});
-  ExecOptions copts;
-  copts.use_columnar = true;
-  auto col = Evaluate(chain, doc, copts);
+  auto col = columnar::EvaluateColumnar(chain, doc);
   ASSERT_TRUE(row.ok());
   ASSERT_TRUE(col.ok());
   EXPECT_EQ(row.value().rows.size(), col.value().rows.size());
@@ -245,20 +241,23 @@ TEST(ExecLimits, DeferredGatherBoundariesHonorBudgets) {
       testutil::CompileToPlan("doc(\"site.xml\")//item[price > 10.0]/name",
                               "site.xml");
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-  for (bool columnar : {false, true}) {
+  for (bool batched : {false, true}) {
+    auto eval = [&](const ExecOptions& options) {
+      return batched ? testutil::Drain(columnar::OpenSequenceStreamColumnar(
+                           plan.value(), site, options))
+                     : EvaluateToSequence(plan.value(), site, options);
+    };
     ExecOptions timeout;
-    timeout.use_columnar = columnar;
     timeout.limits.timeout_seconds = 1e-9;
-    auto timed = EvaluateToSequence(plan.value(), site, timeout);
-    ASSERT_FALSE(timed.ok()) << (columnar ? "columnar" : "row");
+    auto timed = eval(timeout);
+    ASSERT_FALSE(timed.ok()) << (batched ? "columnar" : "row");
     EXPECT_EQ(timed.status().code(), StatusCode::kTimeout);
     ExecOptions rows;
-    rows.use_columnar = columnar;
     rows.limits.max_intermediate_rows = 2;  // doc relation alone exceeds
-    auto bounded = EvaluateToSequence(plan.value(), site, rows);
-    ASSERT_FALSE(bounded.ok()) << (columnar ? "columnar" : "row");
+    auto bounded = eval(rows);
+    ASSERT_FALSE(bounded.ok()) << (batched ? "columnar" : "row");
     EXPECT_EQ(bounded.status().code(), StatusCode::kTimeout);
-    auto ok = EvaluateToSequence(plan.value(), site, ExecOptions{});
+    auto ok = eval(ExecOptions{});
     ASSERT_TRUE(ok.ok());
     EXPECT_EQ(ok.value().size(), 2u);  // clock (12.5) and lamp (30.0)
   }
@@ -267,7 +266,7 @@ TEST(ExecLimits, DeferredGatherBoundariesHonorBudgets) {
 TEST(ExecLimits, PhysicalPlanNamePredicatesHonorTheRowBudget) {
   // The compiled dict-code equality quals of the physical-plan executors
   // (name = '...') sit inside every scan probe; the row budget must trip
-  // there with and without B-tree indexes, row and columnar.
+  // there with and without B-tree indexes, serial and morsel-parallel.
   for (bool with_indexes : {false, true}) {
     api::XQueryProcessor processor;
     ASSERT_TRUE(processor
@@ -276,11 +275,11 @@ TEST(ExecLimits, PhysicalPlanNamePredicatesHonorTheRowBudget) {
     if (with_indexes) {
       ASSERT_TRUE(processor.CreateRelationalIndexes().ok());
     }
-    for (bool columnar : {false, true}) {
+    for (int threads : {1, 8}) {
       api::RunOptions options;
       options.mode = api::Mode::kJoinGraph;
       options.context_document = "site.xml";
-      options.use_columnar = columnar;
+      options.threads = threads;
       auto ok = processor.Run("//regions//item/name", options);
       ASSERT_TRUE(ok.ok()) << ok.status().ToString();
       EXPECT_EQ(ok.value().result_count(), 3u);
@@ -288,27 +287,10 @@ TEST(ExecLimits, PhysicalPlanNamePredicatesHonorTheRowBudget) {
       bounded.timeout_seconds = 1e-9;
       auto timed = processor.Run("//regions//item/name", bounded);
       ASSERT_FALSE(timed.ok())
-          << (with_indexes ? "indexed" : "bare") << "/"
-          << (columnar ? "columnar" : "row");
+          << (with_indexes ? "indexed" : "bare") << "/threads=" << threads;
       EXPECT_EQ(timed.status().code(), StatusCode::kTimeout);
     }
   }
-}
-
-TEST(ExecLimits, ColumnarStackedModeSurfacesTimeout) {
-  api::XQueryProcessor processor;
-  ASSERT_TRUE(processor
-                  .LoadDocument("site.xml", testutil::TinySiteXml())
-                  .ok());
-  api::RunOptions options;
-  options.mode = api::Mode::kStacked;
-  options.context_document = "site.xml";
-  options.timeout_seconds = 1e-9;
-  options.use_columnar = true;
-  auto result = processor.Run("//item[price > 10.0]/name", options);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kTimeout)
-      << result.status().ToString();
 }
 
 }  // namespace

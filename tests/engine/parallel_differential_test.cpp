@@ -3,8 +3,8 @@
 // The columnar executors accept a `threads` knob and split their
 // row-producing loops into morsels claimed from a shared counter, with
 // per-morsel outputs merged in morsel order — so results must be
-// BIT-IDENTICAL at any worker count, to each other and to the serial row
-// oracle. This suite pins that contract at threads ∈ {1, 2, 8} over the
+// BIT-IDENTICAL at any worker count, to each other and to the native
+// interpreter. This suite pins that contract at threads ∈ {1, 2, 8} over the
 // paper queries (XMark/DBLP instances) and seeded random documents large
 // enough to cross the parallel cutoff, and it regression-tests the
 // cooperative DNF budget: a max_intermediate_rows abort must surface
@@ -173,12 +173,12 @@ class ParallelPaperQueries : public ::testing::Test {
 
 api::XQueryProcessor* ParallelPaperQueries::processor_ = nullptr;
 
-TEST_F(ParallelPaperQueries, EveryThreadCountMatchesTheRowOracle) {
+TEST_F(ParallelPaperQueries, EveryThreadCountMatchesTheNativeOracle) {
   for (const auto& q : api::PaperQueries()) {
-    // The serial row executor is the oracle; it ignores `threads`.
+    // The native interpreter is the oracle; it ignores `threads`.
     api::RunOptions oracle_options;
     oracle_options.timeout_seconds = 120;
-    oracle_options.mode = api::Mode::kJoinGraph;
+    oracle_options.mode = api::Mode::kNativeWhole;
     oracle_options.context_document = q.document;
     auto oracle = processor_->Run(q.text, oracle_options);
     ASSERT_TRUE(oracle.ok()) << q.id << ": " << oracle.status().ToString();
@@ -189,7 +189,6 @@ TEST_F(ParallelPaperQueries, EveryThreadCountMatchesTheRowOracle) {
         options.timeout_seconds = 120;
         options.mode = mode;
         options.context_document = q.document;
-        options.use_columnar = true;
         options.threads = threads;
         auto result = processor_->Run(q.text, options);
         ASSERT_TRUE(result.ok())
@@ -222,7 +221,6 @@ TEST_F(ParallelPaperQueries, RowBudgetAbortsPromptlyAcrossWorkers) {
       api::ExecuteOptions exec;
       exec.limits.timeout_seconds = 120;
       exec.limits.max_intermediate_rows = 64;
-      exec.use_columnar = true;
       exec.threads = threads;
       auto result = processor_->ExecuteAll(pq.value(), exec);
       ASSERT_FALSE(result.ok())

@@ -4,6 +4,7 @@
 
 #include "src/compiler/compile.h"
 #include "src/data/xmark.h"
+#include "src/engine/columnar/plan_exec.h"
 #include "src/engine/database.h"
 #include "src/engine/planner.h"
 #include "src/opt/isolate.h"
@@ -11,6 +12,7 @@
 #include "src/xml/parser.h"
 #include "src/xquery/normalize.h"
 #include "src/xquery/parser.h"
+#include "tests/testutil/fixtures.h"
 
 namespace xqjg::engine {
 namespace {
@@ -108,14 +110,16 @@ TEST_F(PlannerTest, DpAndGreedyAndSyntacticAgreeOnResults) {
     ASSERT_TRUE(graph.ok()) << graph.status().ToString();
     auto dp_plan = PlanJoinGraph(graph.value(), *db_);
     ASSERT_TRUE(dp_plan.ok());
-    auto dp_result = ExecutePlan(dp_plan.value(), *db_);
+    auto dp_result = testutil::Drain(
+        columnar::OpenPlanStreamColumnar(dp_plan.value(), *db_, {}, nullptr));
     ASSERT_TRUE(dp_result.ok());
 
     PlannerOptions syntactic;
     syntactic.syntactic_order = true;
     auto naive_plan = PlanJoinGraph(graph.value(), *db_, syntactic);
     ASSERT_TRUE(naive_plan.ok());
-    auto naive_result = ExecutePlan(naive_plan.value(), *db_, syntactic);
+    auto naive_result = testutil::Drain(columnar::OpenPlanStreamColumnar(
+        naive_plan.value(), *db_, syntactic, nullptr));
     ASSERT_TRUE(naive_result.ok());
     EXPECT_EQ(dp_result.value(), naive_result.value());
   }
@@ -126,14 +130,16 @@ TEST_F(PlannerTest, NoIndexesFallsBackToScansCorrectly) {
   ASSERT_TRUE(graph.ok());
   auto with_plan = PlanJoinGraph(graph.value(), *db_);
   ASSERT_TRUE(with_plan.ok());
-  auto expected = ExecutePlan(with_plan.value(), *db_);
+  auto expected = testutil::Drain(
+      columnar::OpenPlanStreamColumnar(with_plan.value(), *db_, {}, nullptr));
   ASSERT_TRUE(expected.ok());
 
   auto bare = Database::Build(*doc_);
   auto plan = PlanJoinGraph(graph.value(), *bare);
   ASSERT_TRUE(plan.ok());
   EXPECT_NE(ExplainPlan(plan.value()).find("TBSCAN"), std::string::npos);
-  auto result = ExecutePlan(plan.value(), *bare);
+  auto result = testutil::Drain(
+      columnar::OpenPlanStreamColumnar(plan.value(), *bare, {}, nullptr));
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.value(), expected.value());
 }
@@ -146,7 +152,8 @@ TEST_F(PlannerTest, TimeoutReportsDnf) {
   options.limits.timeout_seconds = 1e-9;
   auto plan = PlanJoinGraph(graph.value(), *bare, options);
   ASSERT_TRUE(plan.ok());
-  auto result = ExecutePlan(plan.value(), *bare, options);
+  auto result = testutil::Drain(
+      columnar::OpenPlanStreamColumnar(plan.value(), *bare, options, nullptr));
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kTimeout);
 }

@@ -6,7 +6,7 @@
 // build sides go Grace-partitioned. The contract under test is that a
 // budget NEVER changes an answer — results must be BIT-IDENTICAL at a
 // spill-forcing budget, a moderate budget, and no budget, at every
-// worker count, to each other and to the serial row oracle — and that
+// worker count, to each other and to the native interpreter — and that
 // the spill machinery actually engages (spill_events) when forced.
 // Also pins two unit contracts: the shared external sorter reproduces a
 // stable in-memory sort across runs, and a worker clock's TickThrow
@@ -28,11 +28,13 @@
 #include "src/data/dblp.h"
 #include "src/data/xmark.h"
 #include "src/engine/database.h"
+#include "src/engine/columnar/plan_exec.h"
 #include "src/engine/exec_options.h"
 #include "src/engine/planner.h"
 #include "src/engine/spill.h"
 #include "src/opt/join_graph.h"
 #include "src/xml/parser.h"
+#include "tests/testutil/fixtures.h"
 
 namespace xqjg {
 namespace {
@@ -137,12 +139,12 @@ class SpillPaperQueries : public ::testing::Test {
 
 api::XQueryProcessor* SpillPaperQueries::processor_ = nullptr;
 
-TEST_F(SpillPaperQueries, EveryBudgetMatchesTheRowOracle) {
+TEST_F(SpillPaperQueries, EveryBudgetMatchesTheNativeOracle) {
   for (const auto& q : api::PaperQueries()) {
-    // The serial row executor under no memory budget is the oracle.
+    // The native interpreter (no compile, isolate, or plan) is the oracle.
     api::RunOptions oracle_options;
     oracle_options.timeout_seconds = 120;
-    oracle_options.mode = api::Mode::kJoinGraph;
+    oracle_options.mode = api::Mode::kNativeWhole;
     oracle_options.context_document = q.document;
     auto oracle = processor_->Run(q.text, oracle_options);
     ASSERT_TRUE(oracle.ok()) << q.id << ": " << oracle.status().ToString();
@@ -158,7 +160,6 @@ TEST_F(SpillPaperQueries, EveryBudgetMatchesTheRowOracle) {
           api::ExecuteOptions exec;
           exec.limits.timeout_seconds = 120;
           exec.limits.max_memory_bytes = budget;
-          exec.use_columnar = true;
           exec.threads = threads;
           auto result = processor_->ExecuteAll(pq.value(), exec);
           ASSERT_TRUE(result.ok())
@@ -189,7 +190,6 @@ TEST_F(SpillPaperQueries, TinyBudgetActuallySpillsSomewhere) {
       api::ExecuteOptions exec;
       exec.limits.timeout_seconds = 120;
       exec.limits.max_memory_bytes = kTinyBudget;
-      exec.use_columnar = true;
       auto cursor = processor_->Execute(pq.value(), exec);
       ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
       auto all = cursor.value()->FetchAll();
@@ -272,23 +272,23 @@ TEST_F(GraceJoinSpill, HashBuildAndTailSortSpillBitIdentically) {
 
   // `pre` is unique, so every row pairs with exactly itself and the
   // ordered result is simply 0..N-1 — an oracle independent of any
-  // executor. The serial unlimited row run must reproduce it…
+  // executor. The serial unlimited run must reproduce it…
   std::vector<int64_t> expected(static_cast<size_t>(db_->row_count()));
   std::iota(expected.begin(), expected.end(), 0);
-  engine::PlannerOptions serial;
-  auto oracle = engine::ExecutePlan(plan, *db_, serial);
-  ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
-  ASSERT_EQ(oracle.value(), expected);
+  auto unlimited = testutil::Drain(
+      engine::columnar::OpenPlanStreamColumnar(plan, *db_, {}, nullptr));
+  ASSERT_TRUE(unlimited.ok()) << unlimited.status().ToString();
+  ASSERT_EQ(unlimited.value(), expected);
 
-  // …and so must the columnar executor at a spill-forcing budget, at
-  // every worker count, while actually going external twice.
+  // …and so must a spill-forcing budget, at every worker count, while
+  // actually going external twice.
   for (int threads : kThreadCounts) {
     engine::PlannerOptions spilled;
-    spilled.use_columnar = true;
     spilled.threads = threads;
     spilled.limits.max_memory_bytes = kTinyBudget;
     engine::ExecStats stats;
-    auto result = engine::ExecutePlan(plan, *db_, spilled, &stats);
+    auto result = testutil::Drain(engine::columnar::OpenPlanStreamColumnar(
+        plan, *db_, spilled, &stats));
     ASSERT_TRUE(result.ok())
         << "threads=" << threads << ": " << result.status().ToString();
     EXPECT_EQ(result.value(), expected)

@@ -1,9 +1,10 @@
 // Randomized differential suite pinning the columnar storage layer: for
 // seeded random documents AND seeded random query shapes, every
 // execution lane must agree item-for-item — native reference, stacked
-// row/columnar (late-materialized σ/π chains), and join-graph
-// row/columnar physical plans over both the indexed (B-tree probes over
-// typed/dictionary columns) and bare (table-scan) databases.
+// plans (late-materialized σ/π chains), and join-graph physical plans
+// over both the indexed (B-tree probes over typed/dictionary columns)
+// and bare (table-scan) databases, each relational lane with and
+// without a spill-forcing memory budget.
 //
 // Scale knob: XQJG_FUZZ_ITERS raises the randomized iteration count (CI
 // runs a larger sweep); the fixed-seed suites below are the floor that
@@ -19,7 +20,7 @@ namespace xqjg {
 namespace {
 
 // Eight fixed document seeds × eight query seeds each: the deterministic
-// floor behind the acceptance bar (row ≡ columnar ≡ native on ≥ 8 seeds).
+// floor behind the acceptance bar (every lane ≡ native on ≥ 8 seeds).
 class StorageFuzzSeed : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(StorageFuzzSeed, AllLanesAgreeOnRandomDocAndQueries) {

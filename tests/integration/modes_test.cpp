@@ -3,6 +3,8 @@
 // (whole and segmented) must produce the same serialized result.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "src/api/paper_queries.h"
 #include "src/api/processor.h"
 #include "src/data/dblp.h"
@@ -46,6 +48,10 @@ struct ModeCase {
   const char* query_id;
   bool run_segmented;  // Q2 joins across segments: skipped (paper: DNF)
 };
+
+// Without a printer gtest dumps the struct's raw bytes (a string-literal
+// address plus padding) into the test name, so names differed per run.
+void PrintTo(const ModeCase& c, std::ostream* os) { *os << c.query_id; }
 
 class PaperQueryModes : public ModesTest,
                         public ::testing::WithParamInterface<ModeCase> {};

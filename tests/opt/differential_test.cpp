@@ -9,6 +9,7 @@
 #include "src/compiler/compile.h"
 #include "src/data/xmark.h"
 #include "src/engine/algebra_exec.h"
+#include "src/engine/columnar/plan_exec.h"
 #include "src/engine/database.h"
 #include "src/engine/planner.h"
 #include "src/native/interp.h"
@@ -17,6 +18,7 @@
 #include "src/xml/parser.h"
 #include "src/xquery/normalize.h"
 #include "src/xquery/parser.h"
+#include "tests/testutil/fixtures.h"
 
 namespace xqjg {
 namespace {
@@ -93,7 +95,8 @@ TEST_P(QueryFamily, AllExecutorsAgree) {
   if (graph.ok()) {
     auto plan = engine::PlanJoinGraph(graph.value(), *db_);
     ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-    auto engine_seq = engine::ExecutePlan(plan.value(), *db_);
+    auto engine_seq = testutil::Drain(engine::columnar::OpenPlanStreamColumnar(
+        plan.value(), *db_, {}, nullptr));
     ASSERT_TRUE(engine_seq.ok()) << engine_seq.status().ToString();
     EXPECT_EQ(engine_seq.value(), expected)
         << "engine vs interpreter\n" << graph.value().ToString();
@@ -102,7 +105,8 @@ TEST_P(QueryFamily, AllExecutorsAgree) {
     popts.syntactic_order = true;
     auto naive_plan = engine::PlanJoinGraph(graph.value(), *db_, popts);
     ASSERT_TRUE(naive_plan.ok());
-    auto naive_seq = engine::ExecutePlan(naive_plan.value(), *db_, popts);
+    auto naive_seq = testutil::Drain(engine::columnar::OpenPlanStreamColumnar(
+        naive_plan.value(), *db_, popts, nullptr));
     ASSERT_TRUE(naive_seq.ok());
     EXPECT_EQ(naive_seq.value(), expected) << "syntactic order executor";
   }

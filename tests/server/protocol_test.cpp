@@ -7,7 +7,10 @@
 #include <unistd.h>
 
 #include <string>
+#include <thread>
 #include <vector>
+
+#include "src/server/client.h"
 
 namespace xqjg::server {
 namespace {
@@ -132,6 +135,32 @@ TEST_F(FrameTest, BusyStatusBecomesABusyFrame) {
   EXPECT_EQ(frame.value().opcode, Opcode::kBusy);
   WireReader r(frame.value().payload);
   EXPECT_EQ(r.GetString().value(), "try later");
+}
+
+TEST_F(FrameTest, ClientSendsReservedExecuteFlagsAsZero) {
+  // EXECUTE `flags` is reserved (docs/PROTOCOL.md): the client must write
+  // 0. The test plays the server on the far end of the socketpair.
+  Client client(dup(fds_[0]));
+  Result<ExecuteResult> executed = Status::Internal("not run");
+  std::thread request([&]() { executed = client.Execute(7); });
+  auto frame = ReadFrame(fds_[1]);
+  // Answer before any assertion, so the client thread always finishes.
+  WireWriter ok;
+  ok.PutU32(3);  // cursor id
+  ok.PutU64(0);  // rows_total
+  ok.PutF64(0);  // exec_seconds
+  const Status replied = WriteFrame(fds_[1], Opcode::kExecuteOk, ok.buffer());
+  request.join();
+  ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+  ASSERT_TRUE(replied.ok()) << replied.ToString();
+  EXPECT_EQ(frame.value().opcode, Opcode::kExecute);
+  WireReader r(frame.value().payload);
+  EXPECT_EQ(r.GetU32().value(), 7u);  // statement id
+  EXPECT_EQ(r.GetU8().value(), 0u);   // flags
+  EXPECT_EQ(r.GetU32().value(), 0u);  // no parameters
+  EXPECT_TRUE(r.Finish().ok());
+  ASSERT_TRUE(executed.ok()) << executed.status().ToString();
+  EXPECT_EQ(executed.value().cursor_id, 3u);
 }
 
 }  // namespace

@@ -3,7 +3,11 @@
 // catalog snapshots reaping must release), and graceful shutdown. The CI
 // AddressSanitizer job runs this suite — every path here must be
 // leak-free even when sessions are torn down with cursors open.
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <map>
@@ -250,6 +254,51 @@ TEST_F(SessionLifecycleTest, StopWithLiveConnectionsShutsDownGracefully) {
   // The dropped connection surfaces as an error on the next request.
   auto after = client.value()->Fetch(executed.value().cursor_id, 1);
   EXPECT_FALSE(after.ok());
+}
+
+TEST_F(SessionLifecycleTest, ReservedExecuteFlagBitsAreIgnored) {
+  // A v1 client may still set EXECUTE flag bit 0 (it once chose the
+  // columnar executor). The bits are reserved now: a hand-framed EXECUTE
+  // with any of them set returns the same items as flags = 0.
+  StartServer(ServerConfig{});
+  const int fd = socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<uint16_t>(server_->port()));
+  ASSERT_EQ(inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+  ASSERT_EQ(connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                    sizeof(addr)),
+            0);
+  Client client(fd);  // owns fd; the test also writes raw frames on it
+  ASSERT_TRUE(client.Hello().ok());
+  auto prepared = client.Prepare(
+      "//closed_auction[price > 50.0]/price/text()", /*mode=joingraph*/ 1,
+      "auction.xml");
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+  auto executed = client.Execute(prepared.value().statement_id);
+  ASSERT_TRUE(executed.ok()) << executed.status().ToString();
+  auto expected = client.FetchAll(executed.value().cursor_id);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  ASSERT_FALSE(expected.value().empty());
+
+  for (uint8_t flags : {uint8_t{0x1}, uint8_t{0xFF}}) {
+    WireWriter w;
+    w.PutU32(prepared.value().statement_id);
+    w.PutU8(flags);
+    w.PutU32(0);  // no parameters
+    ASSERT_TRUE(WriteFrame(fd, Opcode::kExecute, w.buffer()).ok());
+    auto frame = ReadFrame(fd);
+    ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+    ASSERT_EQ(frame.value().opcode, Opcode::kExecuteOk)
+        << "flags " << int(flags);
+    WireReader r(frame.value().payload);
+    auto cursor_id = r.GetU32();
+    ASSERT_TRUE(cursor_id.ok());
+    auto items = client.FetchAll(cursor_id.value());
+    ASSERT_TRUE(items.ok()) << items.status().ToString();
+    EXPECT_EQ(items.value(), expected.value()) << "flags " << int(flags);
+  }
 }
 
 TEST_F(SessionLifecycleTest, StatsReportTraffic) {

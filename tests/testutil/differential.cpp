@@ -10,6 +10,15 @@ namespace xqjg::testutil {
 
 namespace {
 
+/// The spill-budget axis of every relational lane: unlimited, and a
+/// budget small enough to push the pipeline breakers to disk.
+constexpr int64_t kSpillBudget = 16 * 1024;
+const int64_t kBudgets[] = {0, kSpillBudget};
+
+std::string BudgetLabel(int64_t budget) {
+  return budget > 0 ? std::to_string(budget / 1024) + "KiB" : "unlimited";
+}
+
 /// splitmix64 — the same deterministic generator as RandomXml.
 struct Rng {
   uint64_t state;
@@ -143,32 +152,42 @@ DifferentialHarness::DifferentialHarness(const std::string& uri,
     const char* label;
     api::XQueryProcessor* processor;
     api::Mode mode;
-    bool use_columnar;
   };
-  Lane lanes[] = {
-      {"stacked/row", &indexed_, api::Mode::kStacked, false},
-      {"stacked/columnar", &indexed_, api::Mode::kStacked, true},
-      {"joingraph/row/indexed", &indexed_, api::Mode::kJoinGraph, false},
-      {"joingraph/columnar/indexed", &indexed_, api::Mode::kJoinGraph, true},
-      {"joingraph/row/bare", &bare_, api::Mode::kJoinGraph, false},
-      {"joingraph/columnar/bare", &bare_, api::Mode::kJoinGraph, true},
+  const Lane lanes[] = {
+      {"stacked", &indexed_, api::Mode::kStacked},
+      {"joingraph/indexed", &indexed_, api::Mode::kJoinGraph},
+      {"joingraph/bare", &bare_, api::Mode::kJoinGraph},
   };
   for (const Lane& lane : lanes) {
-    options.mode = lane.mode;
-    options.use_columnar = lane.use_columnar;
-    options.threads = threads;
-    auto result = lane.processor->Run(query, options);
-    if (!result.ok()) {
+    api::PrepareOptions prep;
+    prep.mode = lane.mode;
+    prep.validate_plans = options.validate_plans;
+    auto prepared = lane.processor->Prepare(query, prep);
+    if (!prepared.ok()) {
       return ::testing::AssertionFailure()
-             << lane.label << " (threads=" << threads << ") failed for \""
-             << query << "\": " << result.status().ToString();
+             << lane.label << " Prepare failed for \"" << query
+             << "\": " << prepared.status().ToString();
     }
-    if (result.value().items != reference.value().items) {
-      return ::testing::AssertionFailure()
-             << lane.label << " (threads=" << threads
-             << ") diverges from native for \"" << query
-             << "\": " << result.value().items.size() << " vs "
-             << reference.value().items.size() << " items";
+    for (int64_t budget : kBudgets) {
+      api::ExecuteOptions exec;
+      exec.limits.timeout_seconds = options.timeout_seconds;
+      exec.limits.max_memory_bytes = budget;
+      exec.threads = threads;
+      auto result = lane.processor->ExecuteAll(prepared.value(), exec);
+      if (!result.ok()) {
+        return ::testing::AssertionFailure()
+               << lane.label << " (threads=" << threads
+               << ", budget=" << BudgetLabel(budget) << ") failed for \""
+               << query << "\": " << result.status().ToString();
+      }
+      if (result.value().items != reference.value().items) {
+        return ::testing::AssertionFailure()
+               << lane.label << " (threads=" << threads
+               << ", budget=" << BudgetLabel(budget)
+               << ") diverges from native for \"" << query
+               << "\": " << result.value().items.size() << " vs "
+               << reference.value().items.size() << " items";
+      }
     }
   }
   return ::testing::AssertionSuccess();
@@ -197,7 +216,8 @@ DifferentialHarness::DifferentialHarness(const std::string& uri,
 
   for (int step = 0; step < steps; ++step) {
     // 1. Pre-mutation: native reference + a cursor pinned to the current
-    // snapshot, on a rotating relational lane. The cursor executes only
+    // snapshot, on a rotating relational lane (stacked or join graph)
+    // and memory budget (unlimited or spilling). The cursor executes only
     // when drained (after the mutation), so this is the snapshot-
     // isolation probe: the old block, B-trees, and native DOM must stay
     // alive and bit-identical under the cursor while the catalog moves.
@@ -225,7 +245,7 @@ DifferentialHarness::DifferentialHarness(const std::string& uri,
     }
     api::ExecuteOptions eopts;
     eopts.limits.timeout_seconds = 60;
-    eopts.use_columnar = (lane % 2) == 1;
+    eopts.limits.max_memory_bytes = kBudgets[lane % 2];
     eopts.threads = threads;
     auto cursor = indexed.Execute(prepared.value(), eopts);
     if (!cursor.ok()) {
@@ -288,8 +308,9 @@ DifferentialHarness::DifferentialHarness(const std::string& uri,
       return ::testing::AssertionFailure()
              << "step " << step << ": pinned cursor diverges after "
              << mutation_label << " for \"" << pin_query << "\" (lane "
-             << lane << ", threads=" << threads
-             << "): " << items.value().size() << " vs "
+             << lane << ", budget=" << BudgetLabel(kBudgets[lane % 2])
+             << ", threads=" << threads << "): " << items.value().size()
+             << " vs "
              << reference.value().items.size() << " items";
     }
 

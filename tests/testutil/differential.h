@@ -5,10 +5,13 @@
 // query's result items across every execution lane that must agree:
 //
 //   native whole-document interpretation      (the reference)
-//   stacked plan, row executor                (materializing oracle)
 //   stacked plan, columnar batch executor     (late-mat σ/π chains)
-//   join graph, row plan executor             (indexed + bare plans)
 //   join graph, columnar plan executor        (indexed + bare plans)
+//
+// Each relational lane runs through Prepare + ExecuteAll twice: with no
+// memory budget and with a 16 KiB budget that pushes the pipeline
+// breakers (sorts, hash builds, δ) to disk. The native interpreter shares
+// no code with compile, isolate, or plan, so it is an independent oracle.
 //
 // RandomQuery() generates seeded query shapes over the RandomXml tag
 // alphabet (axis steps, name tests, value predicates, attribute joins),
@@ -57,12 +60,12 @@ class DifferentialHarness {
   /// index set on the indexed one. Aborts on parse failure.
   DifferentialHarness(const std::string& uri, const std::string& xml);
 
-  /// Runs `query` through every lane and compares items against the
-  /// native reference. Any run error is a failure (the generator only
-  /// emits supported shapes). `threads` sets the columnar executors'
-  /// morsel worker count on every relational lane (1 = serial; results
-  /// must be bit-identical at any value — that is the contract this
-  /// harness enforces).
+  /// Runs `query` through every lane at both memory budgets and compares
+  /// items against the native reference. Any run error is a failure (the
+  /// generator only emits supported shapes). `threads` sets the columnar
+  /// executors' morsel worker count on every relational lane (1 =
+  /// serial; results must be bit-identical at any value and any budget —
+  /// that is the contract this harness enforces).
   ::testing::AssertionResult Check(const std::string& query, int threads = 1);
 
   api::XQueryProcessor& indexed() { return indexed_; }

@@ -117,4 +117,16 @@ Result<algebra::OpPtr> CompileToPlan(const std::string& query,
   return compiler::CompileQuery(core);
 }
 
+Result<std::vector<int64_t>> Drain(
+    Result<std::unique_ptr<engine::SequenceStream>> stream) {
+  XQJG_RETURN_NOT_OK(stream.status());
+  constexpr size_t kBatch = 4096;
+  std::vector<int64_t> out;
+  for (;;) {
+    const size_t before = out.size();
+    XQJG_RETURN_NOT_OK(stream.value()->Next(kBatch, &out));
+    if (out.size() - before < kBatch) return out;
+  }
+}
+
 }  // namespace xqjg::testutil

@@ -4,10 +4,13 @@
 #define XQJG_TESTS_TESTUTIL_FIXTURES_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "src/algebra/operators.h"
 #include "src/common/status.h"
+#include "src/engine/exec_stream.h"
 #include "src/xml/infoset.h"
 
 namespace xqjg::testutil {
@@ -32,6 +35,12 @@ xml::DocTable LoadDoc(const std::string& uri, const std::string& xml);
 /// paths; leave empty for queries that call doc(...).
 Result<algebra::OpPtr> CompileToPlan(const std::string& query,
                                      const std::string& context_document = "");
+
+/// Drains an opened result stream into the full pre-rank sequence, e.g.
+///   Drain(columnar::OpenPlanStreamColumnar(plan, db, options, &stats)).
+/// An open error, or an error mid-drain, is returned as is.
+Result<std::vector<int64_t>> Drain(
+    Result<std::unique_ptr<engine::SequenceStream>> stream);
 
 }  // namespace xqjg::testutil
 
