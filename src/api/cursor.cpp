@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "src/engine/columnar/columnar_exec.h"
-#include "src/engine/columnar/plan_exec.h"
 #include "src/native/xscan.h"
 #include "src/xml/serializer.h"
 
@@ -39,6 +38,15 @@ constexpr size_t kFetchAllBatch = 4096;
 
 }  // namespace
 
+engine::ExecOptions ResultCursor::RelationalOptions() {
+  engine::ExecOptions exec_options;
+  exec_options.limits = options_.limits;
+  exec_options.threads = options_.threads;
+  if (!params_.empty()) exec_options.params = &params_;
+  exec_options.stats = &stats_.engine;
+  return exec_options;
+}
+
 Status ResultCursor::EnsureExecuted() {
   if (executed_) return Status::OK();
   const auto started = std::chrono::steady_clock::now();
@@ -70,47 +78,30 @@ Status ResultCursor::EnsureExecuted() {
       break;
     }
     case Mode::kStacked: {
-      engine::ExecOptions exec_options;
-      exec_options.limits = options_.limits;
-      exec_options.threads = options_.threads;
-      if (!params_.empty()) exec_options.params = &params_;
-      exec_options.stats = &stats_.engine;
       XQJG_ASSIGN_OR_RETURN(
           stream_, engine::columnar::OpenSequenceStreamColumnar(
-                       pq.stacked, *cat.doc_table(), exec_options));
+                       pq.stacked, *cat.doc_table(), RelationalOptions()));
       break;
     }
     case Mode::kJoinGraph: {
       if (pq.has_plan) {
-        engine::PlannerOptions popts;
-        popts.syntactic_order = pq.options.syntactic_join_order;
-        popts.limits = options_.limits;
-        popts.threads = options_.threads;
-        if (!params_.empty()) popts.params = &params_;
         // relational_db() returns the instance the plan was compiled
         // over (Prepare built it) — pq.plan's index pointers live in it.
         XQJG_ASSIGN_OR_RETURN(
-            stream_, engine::columnar::OpenPlanStreamColumnar(
-                         pq.plan, *cat.relational_db(), popts,
-                         &stats_.engine));
+            stream_, engine::columnar::OpenSequenceStreamColumnar(
+                         pq.lowered, *cat.relational_db(),
+                         RelationalOptions()));
       } else {
-        // Residual blocking operators: execute the isolated DAG directly.
-        engine::ExecOptions exec_options;
-        exec_options.limits = options_.limits;
-        exec_options.threads = options_.threads;
-        exec_options.stats = &stats_.engine;
+        // Residual blocking operators: execute the isolated DAG directly
+        // (Prepare rejected parameters for it, so none are bound).
         XQJG_ASSIGN_OR_RETURN(
             stream_, engine::columnar::OpenSequenceStreamColumnar(
-                         pq.isolated, *cat.doc_table(), exec_options));
+                         pq.isolated, *cat.doc_table(), RelationalOptions()));
       }
       break;
     }
   }
-  if (stream_) {
-    // -1 until drained for a spill-governed streaming tail; see
-    // ExecutionStats::rows_total.
-    stats_.rows_total = stream_->rows_total();
-  }
+  if (stream_) stats_.rows_total = stream_->rows_total();
   stats_.execute_seconds = SecondsSince(started);
   executed_ = true;
   return Status::OK();
@@ -122,10 +113,8 @@ Status ResultCursor::PullPending(size_t want) {
   const size_t need = want - before;
   XQJG_RETURN_NOT_OK(stream_->Next(need, &pending_));
   if (pending_.size() - before < need) {
-    // Short pull = exhausted (SequenceStream contract); the stream now
-    // knows the final cardinality even if it opened with -1.
+    // Short pull = exhausted (SequenceStream contract).
     stream_done_ = true;
-    stats_.rows_total = stream_->rows_total();
   }
   return Status::OK();
 }

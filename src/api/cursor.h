@@ -58,10 +58,7 @@ struct ExecutionStats {
   double execute_seconds = 0.0;
   /// Cumulative serialization time across all fetches.
   double fetch_seconds = 0.0;
-  /// Result cardinality; -1 until known. Most executions know it as soon
-  /// as the plan ran (Prime / first fetch); a spill-governed streaming
-  /// tail only learns it when the cursor drains (DISTINCT and NULL-item
-  /// skips decide the count row by row), so it can stay -1 mid-stream.
+  /// Result cardinality; -1 until the plan ran (Prime / first fetch).
   int64_t rows_total = -1;
   int64_t rows_fetched = 0;
   /// Intermediate-materialization counters from the relational executors.
@@ -134,8 +131,12 @@ class ResultCursor {
   /// modes) or fills native_items_ (native modes).
   Status EnsureExecuted();
 
+  /// The relational lanes' execution options: this cursor's limits,
+  /// worker count, parameter bindings and stats sink.
+  engine::ExecOptions RelationalOptions();
+
   /// Tops pending_ up to `want` pre ranks from stream_ and latches
-  /// stream_done_ / the final rows_total on a short pull.
+  /// stream_done_ on a short pull.
   Status PullPending(size_t want);
 
   std::shared_ptr<const PreparedQuery> prepared_;

@@ -18,6 +18,7 @@
 
 #include "src/algebra/operators.h"
 #include "src/api/catalog.h"
+#include "src/engine/columnar/columnar_exec.h"
 #include "src/engine/planner.h"
 #include "src/opt/join_graph.h"
 #include "src/xquery/ast.h"
@@ -98,8 +99,11 @@ struct PreparedQuery {
   /// Extracted join graph — heap-allocated because `plan` points into it.
   std::unique_ptr<const opt::JoinGraph> graph;
   /// Cost-based physical join tree over `graph` (join-graph mode, no
-  /// fallback), run by columnar::OpenPlanStreamColumnar.
+  /// fallback).
   engine::PhysicalPlan plan;
+  /// `plan` lowered onto the batch pipeline once, at Prepare; every
+  /// execution runs it (columnar::OpenSequenceStreamColumnar).
+  std::shared_ptr<const engine::columnar::LoweredPlan> lowered;
   bool has_plan = false;
   /// The isolated DAG runs on the columnar batch executor (extraction
   /// not possible — residual blocking operators).

@@ -8,6 +8,7 @@
 #include "src/algebra/dag.h"
 #include "src/algebra/validate.h"
 #include "src/compiler/compile.h"
+#include "src/engine/columnar/plan_exec.h"
 #include "src/opt/isolate.h"
 #include "src/opt/plan_check.h"
 #include "src/sql/sqlgen.h"
@@ -409,6 +410,8 @@ Result<std::shared_ptr<const PreparedQuery>> XQueryProcessor::PrepareUncached(
         out->plan,
         engine::PlanJoinGraph(*owned, *snapshot->relational_db(), popts));
     out->graph = std::move(owned);  // plan.graph points into *graph
+    XQJG_ASSIGN_OR_RETURN(out->lowered,
+                          engine::columnar::LowerPlan(out->plan));
     out->has_plan = true;
     out->explain = engine::ExplainPlan(out->plan);
     CollectUsedIndexes(out->plan.root.get(), &out->used_indexes);

@@ -11,9 +11,11 @@
 #include <vector>
 
 #include "src/common/str.h"
+#include "src/engine/btree.h"
 #include "src/engine/columnar/column_batch.h"
 #include "src/engine/exec_stream.h"
 #include "src/engine/parallel/worker_pool.h"
+#include "src/engine/qual_eval.h"
 #include "src/engine/spill.h"
 #include "src/opt/plan_check.h"
 
@@ -133,7 +135,7 @@ inline bool IntPasses(int64_t a, CmpOp op, int64_t b) {
 
 /// Dictionary equality fast path: `dict_col = 'const'` (or ≠) compiles to
 /// the shared DictEqKernel (common/value_column.h — one uint32 compare
-/// per row, same kernel the physical-plan executors use via qual_eval.h).
+/// per row, same kernel the index probe uses via qual_eval.h).
 DictEqKernel FastDict(const BoundTerm& lhs, const BoundTerm& rhs, CmpOp op) {
   if (op != CmpOp::kEq && op != CmpOp::kNe) return {};
   auto single_dict_col = [](const BoundTerm& t) -> const ValueColumn* {
@@ -375,9 +377,13 @@ bool KeepLazy(size_t survivors, size_t phys_rows) {
 /// enough pieces to balance skew.
 constexpr size_t kParallelRowCutoff = 2048;
 constexpr size_t kMorselRows = 1024;
+/// Outer rows of an index-probe loop: each row is a whole B-tree probe,
+/// so far fewer rows amortize a morsel.
+constexpr size_t kParallelProbeCutoff = 256;
+constexpr size_t kMorselProbeRows = 128;
 
-inline size_t MorselCount(size_t n) {
-  return (n + kMorselRows - 1) / kMorselRows;
+inline size_t MorselCount(size_t n, size_t morsel = kMorselRows) {
+  return (n + morsel - 1) / morsel;
 }
 
 // ---------------------------------------------------------------------------
@@ -452,11 +458,28 @@ ColumnBatch LiteralBatch(const Op* op) {
   return batch;
 }
 
+/// The doc relation as a view of `db`'s columns (the algebra's doc
+/// columns are the engine layout's prefix) — zero copies.
+Result<ColumnBatch> DocRelationView(const Database& db, BudgetClock* clock) {
+  XQJG_RETURN_NOT_OK(clock->CheckRows(db.row_count()));
+  ColumnBatch batch;
+  batch.schema = algebra::DocColumns();
+  batch.num_rows = static_cast<size_t>(db.row_count());
+  for (size_t c = 0; c < batch.schema.size(); ++c) {
+    batch.cols.push_back(db.ColumnPtr(static_cast<int>(c)));
+  }
+  return batch;
+}
+
 /// Shared state of one pipelined execution: DNF clock, memory governor,
-/// stats sink, and the knobs every stream needs.
+/// stats sink, and the knobs every stream needs. The doc relation comes
+/// from the infoset table (`doc`) or, for join-graph plans, from the
+/// Database the plan's indexes live in (`db`); exactly one is set.
 struct PipelineCtx {
-  PipelineCtx(const xml::DocTable& doc_table, const ExecOptions& options)
+  PipelineCtx(const xml::DocTable* doc_table, const Database* database,
+              const ExecOptions& options)
       : doc(doc_table),
+        db(database),
         clock(options.limits),
         budget(options.limits.max_memory_bytes),
         stats(options.stats),
@@ -480,7 +503,8 @@ struct PipelineCtx {
     }
   }
 
-  const xml::DocTable& doc;
+  const xml::DocTable* doc;
+  const Database* db;
   BudgetClock clock;
   MemoryBudget budget;
   ExecStats* stats;
@@ -971,10 +995,12 @@ Result<bool> SorterWindow(ExternalValueSorter* sorter, size_t skip,
 /// The serialize sort — the root pipeline breaker. Prime() consumes the
 /// child, retaining batches in memory (charged) or, once the governor
 /// says spill, re-routing every buffered and future row through an
-/// ExternalValueSorter keyed on (pos, item). Either way the result
-/// cardinality is known when Prime() returns and emission is pure
-/// on-demand work: window gathers from the sorted permutation, or run
-/// merging from disk.
+/// ExternalValueSorter keyed on (order columns…, item) — (pos, item) for
+/// compiled plans, (ORDER BY terms…, item) for join graphs. The sort is
+/// stable, so rows equal on every key keep their arrival order. Either
+/// way the result cardinality is known when Prime() returns and emission
+/// is pure on-demand work: window gathers from the sorted permutation, or
+/// run merging from disk.
 class SerializeStream final : public UnaryStream {
  public:
   SerializeStream(PipelineCtx* ctx, const Op* op,
@@ -988,9 +1014,12 @@ class SerializeStream final : public UnaryStream {
     XQJG_RETURN_NOT_OK(child_->Prime());
     const std::vector<std::string>& in_schema = op_->children[0]->schema;
     arity_ = in_schema.size();
-    pos_idx_ = SchemaIndex(in_schema, op_->order[0]);
-    item_idx_ = SchemaIndex(in_schema, op_->col);
-    if (pos_idx_ < 0 || item_idx_ < 0) {
+    for (const std::string& name : op_->order) {
+      keys_.push_back(SchemaIndex(in_schema, name));
+    }
+    const int item_idx = SchemaIndex(in_schema, op_->col);
+    if (keys_.empty() || keys_.back() != item_idx) keys_.push_back(item_idx);
+    if (std::find(keys_.begin(), keys_.end(), -1) != keys_.end()) {
       return Status::Internal("serialize columns missing");
     }
     for (;;) {
@@ -1081,13 +1110,13 @@ class SerializeStream final : public UnaryStream {
     const ColumnBatch& bb = *bufs_[b.batch];
     const size_t pa = ba.PhysRow(a.row);
     const size_t pb = bb.PhysRow(b.row);
-    const ValueColumn& pos_a = *ba.cols[static_cast<size_t>(pos_idx_)];
-    const ValueColumn& pos_b = *bb.cols[static_cast<size_t>(pos_idx_)];
-    if (ValueColumn::SortLessAt(pos_a, pa, pos_b, pb)) return true;
-    if (ValueColumn::SortLessAt(pos_b, pb, pos_a, pa)) return false;
-    const ValueColumn& item_a = *ba.cols[static_cast<size_t>(item_idx_)];
-    const ValueColumn& item_b = *bb.cols[static_cast<size_t>(item_idx_)];
-    return ValueColumn::SortLessAt(item_a, pa, item_b, pb);
+    for (int k : keys_) {
+      const ValueColumn& ka = *ba.cols[static_cast<size_t>(k)];
+      const ValueColumn& kb = *bb.cols[static_cast<size_t>(k)];
+      if (ValueColumn::SortLessAt(ka, pa, kb, pb)) return true;
+      if (ValueColumn::SortLessAt(kb, pb, ka, pa)) return false;
+    }
+    return false;
   }
 
   Status AddToSorter(const ColumnBatch& in) {
@@ -1104,7 +1133,7 @@ class SerializeStream final : public UnaryStream {
   /// Hands the retained buffer to the external sorter (in arrival order,
   /// preserving the stable tie-break) and releases its charge.
   Status StartSpill() {
-    sorter_ = MakeSorter(ctx_, arity_, {pos_idx_, item_idx_});
+    sorter_ = MakeSorter(ctx_, arity_, keys_);
     for (const auto& b : bufs_) XQJG_RETURN_NOT_OK(AddToSorter(*b));
     bufs_.clear();
     charge_.Reset();
@@ -1114,8 +1143,7 @@ class SerializeStream final : public UnaryStream {
   MemoryCharge charge_;
   bool primed_ = false;
   size_t arity_ = 0;
-  int pos_idx_ = -1;
-  int item_idx_ = -1;
+  std::vector<int> keys_;  ///< sort key columns, item last
   size_t buffered_rows_ = 0;
   std::vector<std::shared_ptr<const ColumnBatch>> bufs_;
   std::vector<RowRef> perm_;
@@ -1216,7 +1244,14 @@ class HashJoinStream final : public BatchStream {
     for (;;) {
       ColumnBatch in;
       XQJG_ASSIGN_OR_RETURN(bool more, left_->Next(&in));
-      if (!more) return false;
+      if (!more) {
+        // Probe side exhausted: the build side is dead weight from here
+        // on, and an open cursor must not retain it.
+        build_bufs_.clear();
+        buckets_.clear();
+        charge_.Reset();
+        return false;
+      }
       XQJG_ASSIGN_OR_RETURN(bool emitted, ProbeBatch(in, out));
       if (emitted) return true;
       // A matchless probe window yields nothing; keep pulling.
@@ -1788,6 +1823,210 @@ class DistinctStream final : public UnaryStream {
   std::unique_ptr<ExternalValueSorter> sorter_;
 };
 
+/// Index probes of one kIxScan, with the access path compiled by
+/// engine/qual_eval.h. Under a nested loop the stream probes once per
+/// outer row, one outer window at a time, and emits each match as the
+/// outer row's columns beside the scanned alias's π columns, gathered
+/// from the doc relation; a leaf is the same over one empty outer row.
+/// Matches come out in outer-row order, then index order. The parallel
+/// path probes morsels of outer rows and concatenates them in morsel
+/// order, so the output is the same at every worker count.
+class IndexProbeStream final : public BatchStream {
+ public:
+  IndexProbeStream(PipelineCtx* ctx, const Op* op, const IndexProbe& probe,
+                   const Op* inner, std::unique_ptr<BatchStream> outer)
+      : BatchStream(ctx, "index-probe"),
+        op_(op),
+        probe_(probe),
+        inner_(inner),
+        outer_(std::move(outer)) {}
+
+  Status Prime() override {
+    if (primed_) return Status::OK();
+    primed_ = true;
+    XQJG_RETURN_NOT_OK(ctx_->clock.CheckDeadline());
+    const Database& db = *ctx_->db;
+    const int alias = probe_.scan->alias;
+    uint32_t outer_mask = 0;
+    size_t num_aliases = static_cast<size_t>(alias) + 1;
+    for (const auto& outer : probe_.outer_pres) {
+      outer_mask |= 1u << outer.first;
+      num_aliases =
+          std::max(num_aliases, static_cast<size_t>(outer.first) + 1);
+    }
+    outer_pres_.assign(num_aliases, nullptr);
+    scan_ = CompileScan(*probe_.scan, db, outer_mask, ctx_->params);
+    residual_ = CompileQuals(probe_.residual, db, outer_mask | (1u << alias),
+                             ctx_->params);
+    for (const auto& [name, src] : inner_->proj) {
+      (void)name;
+      inner_cols_.push_back(db.ColumnPtr(db.ColumnIndex(src)));
+    }
+    return outer_ ? outer_->Prime() : Status::OK();
+  }
+
+ protected:
+  Result<bool> NextImpl(ColumnBatch* out) override {
+    for (;;) {
+      ColumnBatch in;
+      if (outer_) {
+        XQJG_ASSIGN_OR_RETURN(bool more, outer_->Next(&in));
+        if (!more) return false;
+      } else {
+        if (leaf_done_) return false;
+        leaf_done_ = true;
+        in.num_rows = 1;  // a leaf probes once, with nothing bound
+      }
+      std::vector<uint32_t> orows;
+      std::vector<int64_t> pres;
+      XQJG_RETURN_NOT_OK(ProbeWindow(in, &orows, &pres));
+      if (pres.empty()) continue;  // a matchless window yields nothing
+      out->schema = op_->schema;
+      out->num_rows = pres.size();
+      // One match per row of a dense window (the common shape of a
+      // child step under its parent) passes the outer columns through.
+      bool one_to_one = !in.sel && orows.size() == in.num_rows;
+      for (size_t r = 0; one_to_one && r < orows.size(); ++r) {
+        one_to_one = orows[r] == r;
+      }
+      for (const ColumnRef& col : in.cols) {
+        out->cols.push_back(one_to_one ? col
+                                       : std::make_shared<const ValueColumn>(
+                                             col->Gather(orows)));
+      }
+      const std::vector<uint32_t> rows(pres.begin(), pres.end());
+      for (const ColumnRef& col : inner_cols_) {
+        out->cols.push_back(
+            std::make_shared<const ValueColumn>(col->Gather(rows)));
+      }
+      return true;
+    }
+  }
+
+ private:
+  /// Row view for the compiled qualifiers: alias → pre rank, with the
+  /// probed alias answering the candidate's pre (-1: unbound).
+  struct ProbeRow {
+    const std::vector<const int64_t*>* pres;  ///< outer pre columns
+    size_t row;                               ///< physical outer row
+    int alias;
+    int64_t pre;
+
+    int64_t operator()(int a) const {
+      if (a == alias) return pre;
+      const auto idx = static_cast<size_t>(a);
+      const int64_t* col = idx < pres->size() ? (*pres)[idx] : nullptr;
+      return col ? col[row] : -1;
+    }
+  };
+
+  static bool AllPass(const std::vector<BoundQualCmp>& cmps,
+                      const ProbeRow& row) {
+    for (const BoundQualCmp& c : cmps) {
+      if (!c.Test(row)) return false;
+    }
+    return true;
+  }
+
+  /// Scans the probe range of outer row `orow`; appends each match's
+  /// outer row and pre rank. `clock` is the caller's clock: the execution
+  /// clock, or a morsel's worker clock.
+  Status Probe(size_t orow, BudgetClock* clock, std::vector<uint32_t>* orows,
+               std::vector<int64_t>* pres) {
+    ProbeRow row{&outer_pres_, orow, -1, -1};
+    KeyRange range;
+    if (!BuildProbeRange(scan_, row, &range)) {
+      return Status::OK();  // NULL probe value never matches
+    }
+    row.alias = probe_.scan->alias;
+    bool expired = false, over_rows = false;
+    probe_.scan->index->tree.Scan(range, [&](const Key&, int64_t pre) {
+      row.pre = pre;
+      if (AllPass(scan_.row_preds, row) && AllPass(residual_, row)) {
+        orows->push_back(static_cast<uint32_t>(orow));
+        pres->push_back(pre);
+      }
+      if (clock->RowsExceeded(static_cast<int64_t>(pres->size())) ||
+          clock->RegionAborted()) {
+        over_rows = true;
+        return false;  // stop the scan
+      }
+      if (clock->TickQuiet() && clock->Expired()) {
+        expired = true;
+        return false;  // stop the scan
+      }
+      return true;
+    });
+    if (over_rows) return clock->TickRows(static_cast<int64_t>(pres->size()));
+    if (expired) return clock->CheckDeadline();
+    return Status::OK();
+  }
+
+  Status ProbeWindow(const ColumnBatch& in, std::vector<uint32_t>* orows,
+                     std::vector<int64_t>* pres) {
+    if (in.num_rows > kMaxBatchRows) {
+      return Status::Internal("probe input exceeds batch row limit");
+    }
+    for (const auto& [a, idx] : probe_.outer_pres) {
+      const ValueColumn& col = *in.cols[static_cast<size_t>(idx)];
+      if (col.tag() != ColumnTag::kInt || col.has_nulls()) {
+        return Status::Internal("probe outer pre column is not int64");
+      }
+      outer_pres_[static_cast<size_t>(a)] = col.ints().data();
+    }
+    const size_t n = in.num_rows;
+    if (ctx_->threads > 1 && n >= kParallelProbeCutoff) {
+      const size_t morsels = MorselCount(n, kMorselProbeRows);
+      std::vector<std::vector<uint32_t>> oparts(morsels);
+      std::vector<std::vector<int64_t>> pparts(morsels);
+      RegionBudget budget(ctx_->clock);
+      parallel::WorkerPool::Instance().ParallelFor(
+          ctx_->threads, morsels, [&](size_t m, int) {
+            BudgetClock wclock = budget.Worker();
+            auto run = [&]() -> Status {
+              const size_t end = std::min(n, (m + 1) * kMorselProbeRows);
+              for (size_t r = m * kMorselProbeRows; r < end; ++r) {
+                XQJG_RETURN_NOT_OK(
+                    Probe(in.PhysRow(r), &wclock, &oparts[m], &pparts[m]));
+                XQJG_RETURN_NOT_OK(wclock.TickRows(
+                    static_cast<int64_t>(pparts[m].size())));
+              }
+              return wclock.FinishLocalRows(
+                  static_cast<int64_t>(pparts[m].size()));
+            };
+            Status st = run();
+            if (!st.ok()) budget.Abort(st);
+          });
+      XQJG_RETURN_NOT_OK(budget.status());
+      for (size_t m = 0; m < morsels; ++m) {
+        orows->insert(orows->end(), oparts[m].begin(), oparts[m].end());
+        pres->insert(pres->end(), pparts[m].begin(), pparts[m].end());
+      }
+    } else {
+      for (size_t r = 0; r < n; ++r) {
+        XQJG_RETURN_NOT_OK(Probe(in.PhysRow(r), &ctx_->clock, orows, pres));
+        XQJG_RETURN_NOT_OK(ctx_->clock.TickRows(
+            rows_out_ + static_cast<int64_t>(pres->size())));
+      }
+    }
+    if (pres->size() > kMaxBatchRows) {
+      return Status::Internal("probe output exceeds batch row limit");
+    }
+    return Status::OK();
+  }
+
+  const Op* op_;
+  const IndexProbe& probe_;
+  const Op* inner_;  ///< the π(doc) naming the scanned alias's columns
+  std::unique_ptr<BatchStream> outer_;  ///< null for a leaf
+  bool primed_ = false;
+  bool leaf_done_ = false;
+  CompiledScan scan_;
+  std::vector<BoundQualCmp> residual_;
+  std::vector<const int64_t*> outer_pres_;  ///< per alias, per window
+  std::vector<ColumnRef> inner_cols_;
+};
+
 // ---------------------------------------------------------------------------
 // Pipeline construction. Leaf relations and shared sub-DAGs materialize
 // once (memoized, like the old evaluator) and re-stream per consumer;
@@ -1795,7 +2034,9 @@ class DistinctStream final : public UnaryStream {
 
 class PipelineBuilder {
  public:
-  explicit PipelineBuilder(PipelineCtx* ctx) : ctx_(ctx) {}
+  /// `lowered` (nullable) names the ops that run as index probes.
+  PipelineBuilder(PipelineCtx* ctx, const LoweredPlan* lowered)
+      : ctx_(ctx), lowered_(lowered) {}
 
   Result<std::unique_ptr<BatchStream>> BuildRoot(const Op* op) {
     CountConsumers(op);
@@ -1812,6 +2053,19 @@ class PipelineBuilder {
   }
 
   Result<std::unique_ptr<BatchStream>> Build(const Op* op) {
+    if (const IndexProbe* probe = FindProbe(op)) {
+      // A hinted π(doc) leaf, or × (outer, π(doc)): the doc side is
+      // never built — the probe reads the B-tree and the doc columns.
+      std::unique_ptr<BatchStream> outer;
+      const Op* inner = op;
+      if (op->kind != OpKind::kProject) {
+        XQJG_ASSIGN_OR_RETURN(outer, Build(op->children[0].get()));
+        inner = op->children[1].get();
+      }
+      std::unique_ptr<BatchStream> s = std::make_unique<IndexProbeStream>(
+          ctx_, op, *probe, inner, std::move(outer));
+      return s;
+    }
     if (op->kind == OpKind::kDocTable || op->kind == OpKind::kLiteral ||
         consumers_[op] > 1) {
       XQJG_ASSIGN_OR_RETURN(std::shared_ptr<const ColumnBatch> batch,
@@ -1821,6 +2075,12 @@ class PipelineBuilder {
       return s;
     }
     return BuildOperator(op);
+  }
+
+  const IndexProbe* FindProbe(const Op* op) const {
+    if (!lowered_) return nullptr;
+    auto it = lowered_->probes.find(op);
+    return it == lowered_->probes.end() ? nullptr : &it->second;
   }
 
   Result<std::unique_ptr<BatchStream>> BuildOperator(const Op* op) {
@@ -1887,7 +2147,12 @@ class PipelineBuilder {
     XQJG_RETURN_NOT_OK(ctx_->clock.CheckRows(0));
     ColumnBatch batch;
     if (op->kind == OpKind::kDocTable) {
-      XQJG_ASSIGN_OR_RETURN(batch, DocRelationBatch(ctx_->doc, &ctx_->clock));
+      if (ctx_->db) {
+        XQJG_ASSIGN_OR_RETURN(batch, DocRelationView(*ctx_->db, &ctx_->clock));
+      } else {
+        XQJG_ASSIGN_OR_RETURN(batch,
+                              DocRelationBatch(*ctx_->doc, &ctx_->clock));
+      }
     } else if (op->kind == OpKind::kLiteral) {
       batch = LiteralBatch(op);
     } else {
@@ -1917,6 +2182,7 @@ class PipelineBuilder {
   }
 
   PipelineCtx* ctx_;
+  const LoweredPlan* lowered_;
   std::unordered_map<const Op*, int> consumers_;
   std::unordered_map<const Op*, std::shared_ptr<const ColumnBatch>> memo_;
   /// Outstanding charges for memoized shared sub-DAGs (tracked for the
@@ -1951,11 +2217,14 @@ Status AppendItems(const ColumnBatch& b, int item_idx,
 /// demand and buffers only the current window's items.
 class ColumnarSequenceStream final : public SequenceStream {
  public:
-  ColumnarSequenceStream(OpPtr plan, std::unique_ptr<PipelineCtx> ctx,
+  ColumnarSequenceStream(OpPtr plan,
+                         std::shared_ptr<const LoweredPlan> lowered,
+                         std::unique_ptr<PipelineCtx> ctx,
                          std::unique_ptr<PipelineBuilder> builder,
                          std::unique_ptr<BatchStream> root, int item_idx,
                          int64_t rows_total)
       : plan_(std::move(plan)),
+        lowered_(std::move(lowered)),
         ctx_(std::move(ctx)),
         builder_(std::move(builder)),
         root_(std::move(root)),
@@ -1986,6 +2255,7 @@ class ColumnarSequenceStream final : public SequenceStream {
 
  private:
   algebra::OpPtr plan_;  ///< keeps the Op DAG alive under the streams
+  std::shared_ptr<const LoweredPlan> lowered_;  ///< probes (join graphs)
   std::unique_ptr<PipelineCtx> ctx_;
   std::unique_ptr<PipelineBuilder> builder_;  ///< owns memoized batches
   std::unique_ptr<BatchStream> root_;
@@ -1999,8 +2269,8 @@ class ColumnarSequenceStream final : public SequenceStream {
 
 Result<MatTable> EvaluateColumnar(const OpPtr& plan, const xml::DocTable& doc,
                                   const ExecOptions& options) {
-  PipelineCtx ctx(doc, options);
-  PipelineBuilder builder(&ctx);
+  PipelineCtx ctx(&doc, nullptr, options);
+  PipelineBuilder builder(&ctx, nullptr);
   XQJG_ASSIGN_OR_RETURN(std::unique_ptr<BatchStream> root,
                         builder.BuildRoot(plan.get()));
   XQJG_RETURN_NOT_OK(root->Prime());
@@ -2014,13 +2284,15 @@ Result<MatTable> EvaluateColumnar(const OpPtr& plan, const xml::DocTable& doc,
   return table;
 }
 
-Result<std::unique_ptr<SequenceStream>> OpenSequenceStreamColumnar(
-    const OpPtr& plan, const xml::DocTable& doc, const ExecOptions& options) {
+namespace {
+
+Result<std::unique_ptr<SequenceStream>> OpenStream(
+    const OpPtr& plan, std::shared_ptr<const LoweredPlan> lowered,
+    std::unique_ptr<PipelineCtx> ctx) {
   if (plan->kind != OpKind::kSerialize) {
     return Status::InvalidArgument("expected a serialize-rooted plan");
   }
-  auto ctx = std::make_unique<PipelineCtx>(doc, options);
-  auto builder = std::make_unique<PipelineBuilder>(ctx.get());
+  auto builder = std::make_unique<PipelineBuilder>(ctx.get(), lowered.get());
   XQJG_ASSIGN_OR_RETURN(std::unique_ptr<BatchStream> root,
                         builder->BuildRoot(plan.get()));
   // Priming runs the pipeline through its final sort breaker: the result
@@ -2031,13 +2303,30 @@ Result<std::unique_ptr<SequenceStream>> OpenSequenceStreamColumnar(
   if (item_idx < 0) return Status::Internal("serialize item column missing");
   ctx->SyncPeak();
   const int64_t total = root->total_rows();
-  if (options.stats) options.stats->rows_out = total;
+  if (ctx->stats) ctx->stats->rows_out = total;
   std::unique_ptr<SequenceStream> stream =
-      std::make_unique<ColumnarSequenceStream>(plan, std::move(ctx),
+      std::make_unique<ColumnarSequenceStream>(plan, std::move(lowered),
+                                               std::move(ctx),
                                                std::move(builder),
                                                std::move(root), item_idx,
                                                total);
   return stream;
+}
+
+}  // namespace
+
+Result<std::unique_ptr<SequenceStream>> OpenSequenceStreamColumnar(
+    const OpPtr& plan, const xml::DocTable& doc, const ExecOptions& options) {
+  return OpenStream(plan, nullptr,
+                    std::make_unique<PipelineCtx>(&doc, nullptr, options));
+}
+
+Result<std::unique_ptr<SequenceStream>> OpenSequenceStreamColumnar(
+    std::shared_ptr<const LoweredPlan> plan, const Database& db,
+    const ExecOptions& options) {
+  const OpPtr root = plan->root;
+  return OpenStream(root, std::move(plan),
+                    std::make_unique<PipelineCtx>(nullptr, &db, options));
 }
 
 }  // namespace xqjg::engine::columnar

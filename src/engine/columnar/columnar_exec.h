@@ -1,6 +1,8 @@
 // Columnar batch evaluator for table-algebra plans — the executor of
-// every relational plan that is not a join graph (stacked plans, and
-// isolated plans whose join graph cannot be extracted).
+// every relational plan: stacked plans, isolated plans whose join graph
+// cannot be extracted, and join-graph plans, which columnar/plan_exec.cpp
+// lowers onto the same operators (plus one index-probe operator for the
+// B-tree access paths).
 //
 // Same plans, same memoization across shared sub-DAGs, same DNF budgets,
 // and bit-identical output tables (including row order) as the row
@@ -21,13 +23,18 @@
 #define XQJG_ENGINE_COLUMNAR_COLUMNAR_EXEC_H_
 
 #include <memory>
+#include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/algebra/operators.h"
 #include "src/common/status.h"
 #include "src/engine/algebra_exec.h"
+#include "src/engine/database.h"
 #include "src/engine/exec_options.h"
 #include "src/engine/exec_stream.h"
+#include "src/engine/planner.h"
 #include "src/xml/infoset.h"
 
 namespace xqjg::engine::columnar {
@@ -45,6 +52,37 @@ Result<MatTable> EvaluateColumnar(const algebra::OpPtr& plan,
 /// `options.stats` (if set) must outlive the stream.
 Result<std::unique_ptr<SequenceStream>> OpenSequenceStreamColumnar(
     const algebra::OpPtr& plan, const xml::DocTable& doc,
+    const ExecOptions& options);
+
+/// A B-tree access path inside a lowered join-graph plan: the hinted op
+/// runs as index probes of `scan` (kIxScan), which applies the scan's
+/// predicates. A hinted π(doc) leaf probes once; a hinted × (outer,
+/// π(doc)) probes once per outer row and emits outer ++ π columns. The
+/// π's projection names the scanned alias's output columns.
+struct IndexProbe {
+  const PhysNode* scan = nullptr;
+  /// Outer aliases bound at the probe and the positions of their
+  /// pre-rank columns in the outer input (empty for a leaf probe).
+  std::vector<std::pair<int, int>> outer_pres;
+  /// Join predicates checked per match beyond scan->preds.
+  std::vector<opt::QualComparison> residual;
+};
+
+/// A join-graph plan lowered onto the pipeline (columnar/plan_exec.h):
+/// serialize-rooted algebra over the doc relation, plus the ops that run
+/// as index probes. Immutable once built, so one lowering serves every
+/// execution of a prepared plan, concurrent ones included.
+struct LoweredPlan {
+  algebra::OpPtr root;
+  std::unordered_map<const algebra::Op*, IndexProbe> probes;
+};
+
+/// OpenSequenceStreamColumnar over `db`'s doc relation for a lowered
+/// plan. The stream shares ownership of `plan`; `db`, the PhysicalPlan
+/// its probes point into, and `options.params` / `options.stats` must
+/// outlive the stream.
+Result<std::unique_ptr<SequenceStream>> OpenSequenceStreamColumnar(
+    std::shared_ptr<const LoweredPlan> plan, const Database& db,
     const ExecOptions& options);
 
 }  // namespace xqjg::engine::columnar

@@ -1,38 +1,43 @@
-// The executor for the cost-based physical plans of src/engine/planner.h
-// — the only way a join-graph plan runs.
+// Execution of the cost-based physical plans of src/engine/planner.h.
 //
-// Intermediates are alias columns — one contiguous int64 pre-rank column
-// per bound doc alias — instead of one heap-allocated tuple per row.
-// Scans and joins probe in batches, and the plan-tail sort keys are
-// evaluated exactly once per tuple. NULL join keys never match. The
-// differential suites hold the result sequences to the native
+// A join graph is already algebra, so a physical join tree runs on the
+// columnar batch pipeline (columnar_exec.h) that runs every other
+// relational plan. The plan is lowered to table algebra over doc-relation
+// leaves: alias k becomes the column d<k>.pre, plus an attribute column
+// d<k>.<col> only where a later predicate or the tail reads it. Local
+// predicates become σ over the doc relation. HSJOIN, and NLJOIN over
+// TBSCAN, become the pipeline's hash join (column equalities are the
+// keys, the other predicates residual). IXSCAN, as a leaf or as the
+// inner side of NLJOIN, becomes the pipeline's index-probe operator. The
+// tail is δ over the select list (DISTINCT only), then the serialize
+// sort by (ORDER BY terms…, item).
+//
+// The memory budget, DNF limits, worker count, spill behaviour and
+// statistics are therefore the pipeline's (see columnar_exec.h and
+// engine/spill.h); results are bit-identical at every budget and worker
+// count. The differential suites hold the result sequences to the native
 // interpreter's (tests/testutil/differential.h).
-//
-// Execution is governed by ExecLimits::max_memory_bytes: every live
-// alias batch is charged against the budget, an over-budget hash join
-// falls back to a Grace partitioned build (engine/spill.h), and the
-// ORDER BY tail routes through the shared external-merge sorter — all
-// bit-identical to the unlimited in-memory run (see spill.h for the
-// order-exactness argument).
 #ifndef XQJG_ENGINE_COLUMNAR_PLAN_EXEC_H_
 #define XQJG_ENGINE_COLUMNAR_PLAN_EXEC_H_
 
 #include <memory>
-#include <vector>
 
 #include "src/common/status.h"
+#include "src/engine/columnar/columnar_exec.h"
 #include "src/engine/exec_options.h"
 #include "src/engine/exec_stream.h"
 #include "src/engine/planner.h"
 
 namespace xqjg::engine::columnar {
 
-/// Runs the join tree, then hands the tail back as a SequenceStream of
-/// result-sequence pre ranks (ordered, DISTINCT applied per the graph's
-/// tail). When the memory governor pushed the ORDER BY sort to disk the
-/// stream merges spilled runs batch by batch (rows_total() is -1 until
-/// drained — DISTINCT and the NULL-item skip decide the count row by
-/// row); otherwise it wraps the already-materialized sequence. `db`,
+/// Lowers `plan` once; run the result with OpenSequenceStreamColumnar
+/// (columnar_exec.h) as often as needed. It points into `plan` and its
+/// graph, which must outlive it.
+Result<std::shared_ptr<const LoweredPlan>> LowerPlan(const PhysicalPlan& plan);
+
+/// Lowers `plan` and primes its pipeline through the serialize sort;
+/// the returned stream yields the result sequence's pre ranks, and its
+/// rows_total() is known on return. `plan` (and its graph), `db`,
 /// `options.params`, and `stats` (if set) must outlive the stream.
 Result<std::unique_ptr<SequenceStream>> OpenPlanStreamColumnar(
     const PhysicalPlan& plan, const Database& db,

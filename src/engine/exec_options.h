@@ -1,5 +1,5 @@
-// Execution knobs shared by every query executor (the two columnar
-// executors and the materializing row evaluator that tests use as the
+// Execution knobs shared by every query executor (the columnar batch
+// pipeline and the materializing row evaluator that tests use as the
 // algebra-level reference): DNF budgets and observable statistics.
 #ifndef XQJG_ENGINE_EXEC_OPTIONS_H_
 #define XQJG_ENGINE_EXEC_OPTIONS_H_
@@ -146,8 +146,8 @@ class BudgetClock {
   }
 
   /// Row budget for a growing intermediate plus the amortized deadline —
-  /// the per-iteration guard of every tuple-producing loop in the physical
-  /// plan executors. The row comparison is a plain integer check (paid on
+  /// the per-iteration guard of every tuple-producing loop in the
+  /// executors. The row comparison is a plain integer check (paid on
   /// every call); the clock read is amortized like Tick().
   Status TickRows(int64_t rows) {
     if (region_ && max_rows_ > 0 && rows - reported_ >= kFlushStride) {

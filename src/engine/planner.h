@@ -48,11 +48,11 @@ struct PlannerOptions {
   /// Disable cost-based join ordering: join aliases in syntactic order
   /// with filter joins (the ablation baseline).
   bool syntactic_order = false;
-  /// DNF budgets (wall clock + intermediate row count), enforced by the
-  /// physical-plan executor (columnar/plan_exec.h) at every
-  /// tuple-producing point.
+  /// Budgets (wall clock, intermediate row count, tracked memory) of the
+  /// batch pipeline the plan runs on (columnar/plan_exec.h), enforced
+  /// like for every other relational plan.
   ExecLimits limits;
-  /// Morsel workers for the plan executor (1 = serial). Results are
+  /// Morsel workers of that pipeline (1 = serial). Results are
   /// independent of the worker count: morsel outputs merge in
   /// morsel-index order.
   int threads = 1;
@@ -64,7 +64,8 @@ struct PlannerOptions {
 };
 
 /// Builds the cheapest physical join tree for `graph` over `db`. Run it
-/// with columnar::OpenPlanStreamColumnar (src/engine/columnar/plan_exec.h).
+/// with columnar::OpenPlanStreamColumnar (src/engine/columnar/plan_exec.h),
+/// which lowers it onto the columnar batch pipeline.
 Result<PhysicalPlan> PlanJoinGraph(const opt::JoinGraph& graph,
                                    const Database& db,
                                    const PlannerOptions& options = {});

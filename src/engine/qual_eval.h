@@ -1,13 +1,15 @@
 // Compiled qualifier evaluation over the columnar doc relation for the
-// physical-plan executor (columnar/plan_exec.cpp).
+// index-probe operator of the batch pipeline (columnar_exec.cpp), which
+// runs the IXSCAN access paths of join-graph plans.
 //
-// A QualTerm / QualComparison is bound against the Database ONCE per plan
-// node: column names resolve to typed ValueColumn pointers (no per-row
-// ColumnIndex string search), all-integer terms compile to raw int64
-// pointer sums, and `name = '...'`-shaped predicates compile to a single
-// dictionary-code comparison. Per row, evaluation takes a row view — any
-// callable mapping alias → pre rank (< 0 = unbound) — so one compiled
-// qualifier serves a batch row, a scan probe, and a join candidate pair.
+// A QualTerm / QualComparison is bound against the Database ONCE per
+// probe operator: column names resolve to typed ValueColumn pointers (no
+// per-row ColumnIndex string search), all-integer terms compile to raw
+// int64 pointer sums, and `name = '...'`-shaped predicates compile to a
+// single dictionary-code comparison. Per row, evaluation takes a row
+// view — any callable mapping alias → pre rank (< 0 = unbound) — so one
+// compiled qualifier serves the probe-range bounds of an outer row and
+// the checks on each B-tree match.
 //
 // Semantics mirror the historical boxed EvalQualTerm/EvalQualComparison
 // exactly: terms are Σ cols + constant with NULL poisoning (unbound alias
@@ -266,9 +268,20 @@ inline CompiledScan CompileScan(const PhysNode& node, const Database& db,
                               outer_mask | (1u << node.alias), params);
   if (node.kind != PhysKind::kIxScan) return cs;
   const auto& key_cols = node.index->def.key_columns;
-  std::vector<char> used(node.preds.size(), 0);
-  auto rhs_evaluable = [&](const opt::QualComparison& p) {
-    for (int a : {p.rhs.alias, p.rhs.alias2}) {
+  // Orient (and bind) each predicate once, not once per key column.
+  std::vector<opt::QualComparison> oriented;
+  std::vector<std::string> sarg;
+  oriented.reserve(node.preds.size());
+  sarg.reserve(node.preds.size());
+  for (const opt::QualComparison& p : node.preds) {
+    oriented.push_back(ResolveParams(opt::OrientTo(p, node.alias), params));
+    sarg.push_back(opt::SargColumn(oriented.back().lhs, node.alias));
+  }
+  std::vector<char> used(oriented.size(), 0);
+  auto usable = [&](size_t i, size_t k) {
+    if (used[i] || sarg[i] != key_cols[k]) return false;
+    const opt::QualTerm& rhs = oriented[i].rhs;
+    for (int a : {rhs.alias, rhs.alias2}) {
       if (a >= 0 && !(outer_mask & (1u << a))) return false;
     }
     return true;
@@ -276,13 +289,9 @@ inline CompiledScan CompileScan(const PhysNode& node, const Database& db,
   size_t k = 0;
   for (; k < key_cols.size(); ++k) {
     bool matched = false;
-    for (size_t i = 0; i < node.preds.size(); ++i) {
-      if (used[i]) continue;
-      opt::QualComparison p =
-          ResolveParams(opt::OrientTo(node.preds[i], node.alias), params);
-      if (p.op != algebra::CmpOp::kEq) continue;
-      if (opt::SargColumn(p.lhs, node.alias) != key_cols[k]) continue;
-      if (!rhs_evaluable(p)) continue;
+    for (size_t i = 0; i < oriented.size(); ++i) {
+      const opt::QualComparison& p = oriented[i];
+      if (p.op != algebra::CmpOp::kEq || !usable(i, k)) continue;
       cs.eq.push_back({p.lhs, BoundQualTerm(p.rhs, db), p.op});
       used[i] = 1;
       matched = true;
@@ -291,15 +300,12 @@ inline CompiledScan CompileScan(const PhysNode& node, const Database& db,
     if (!matched) break;
   }
   if (k < key_cols.size()) {
-    for (size_t i = 0; i < node.preds.size(); ++i) {
-      if (used[i]) continue;
-      opt::QualComparison p =
-          ResolveParams(opt::OrientTo(node.preds[i], node.alias), params);
-      if (p.op == algebra::CmpOp::kEq || p.op == algebra::CmpOp::kNe) {
+    for (size_t i = 0; i < oriented.size(); ++i) {
+      const opt::QualComparison& p = oriented[i];
+      if (p.op == algebra::CmpOp::kEq || p.op == algebra::CmpOp::kNe ||
+          !usable(i, k)) {
         continue;
       }
-      if (opt::SargColumn(p.lhs, node.alias) != key_cols[k]) continue;
-      if (!rhs_evaluable(p)) continue;
       cs.range.push_back({p.lhs, BoundQualTerm(p.rhs, db), p.op});
       used[i] = 1;
     }

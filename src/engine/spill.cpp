@@ -155,21 +155,6 @@ Result<bool> SpillReadRow(SpillFile* file, Value* row, size_t arity) {
   return true;
 }
 
-Status SpillAppendInts(SpillFile* file, const int64_t* vals, size_t n) {
-  XQJG_RETURN_NOT_OK(file->Append(vals, n * sizeof(int64_t)));
-  ++file->rows_;
-  return Status::OK();
-}
-
-Result<bool> SpillReadInts(SpillFile* file, int64_t* vals, size_t n) {
-  const size_t want = n * sizeof(int64_t);
-  XQJG_ASSIGN_OR_RETURN(size_t got,
-                        file->Read(vals, want));
-  if (got == 0) return false;
-  if (got != want) return Status::Internal("spill: truncated tuple");
-  return true;
-}
-
 int64_t ValueRowBytes(const Value* row, size_t arity) {
   int64_t bytes = 0;
   for (size_t i = 0; i < arity; ++i) {
@@ -203,6 +188,10 @@ Status ExternalValueSorter::Finish() {
         cursors_[i].live,
         SpillReadRow(&runs_[i], cursors_[i].row.data(), arity_));
     if (cursors_[i].live) heap_.push_back(static_cast<uint32_t>(i));
+    // The merge state — one head row per run — is what an open cursor
+    // over a spilled sort retains.
+    charge_.Add(ValueRowBytes(cursors_[i].row.data(), arity_) +
+                static_cast<int64_t>(sizeof(RunCursor)));
   }
   std::make_heap(heap_.begin(), heap_.end(),
                  [this](uint32_t a, uint32_t b) { return HeapAfter(a, b); });

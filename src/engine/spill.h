@@ -12,10 +12,8 @@
 //   * hash-join build sides and duplicate elimination hash-partition
 //     their rows Grace-style and process one partition at a time.
 //
-// Two framings cover every spilled row in the system: tagged Value rows
-// (the batch-algebra executor's mixed-type tuples) and raw int64 tuples
-// (the alias-column executor's pre ranks). Both are fixed-arity per
-// file, so readers need no per-file header.
+// One framing covers every spilled row in the system: tagged Value rows,
+// fixed-arity per file, so readers need no per-file header.
 #ifndef XQJG_ENGINE_SPILL_H_
 #define XQJG_ENGINE_SPILL_H_
 
@@ -78,7 +76,6 @@ class SpillFile {
 
  private:
   friend Status SpillAppendRow(SpillFile*, const Value*, size_t);
-  friend Status SpillAppendInts(SpillFile*, const int64_t*, size_t);
 
   std::FILE* file_ = nullptr;
   int64_t bytes_ = 0;
@@ -91,21 +88,17 @@ Status SpillAppendRow(SpillFile* file, const Value* row, size_t arity);
 /// row (truncated file) is an Internal error.
 Result<bool> SpillReadRow(SpillFile* file, Value* row, size_t arity);
 
-/// Raw int64 tuple framing (the alias-column executor's rows).
-Status SpillAppendInts(SpillFile* file, const int64_t* vals, size_t n);
-Result<bool> SpillReadInts(SpillFile* file, int64_t* vals, size_t n);
-
 /// Approximate in-memory bytes of one Value row — the charge unit for
 /// breaker buffers that hold rows as Values.
 int64_t ValueRowBytes(const Value* row, size_t arity);
 
 /// External-merge sorter over boxed Value rows — the spill engine behind
-/// every order-sensitive breaker (the batch executor's serialize sort,
-/// Grace-join order restoration, and δ survivor merge; the plan
-/// executor's ORDER BY tail). Rows accumulate in memory (charged against
-/// `budget`); when the governor says spill, the buffer is stable-sorted
-/// and flushed as one sorted run. Finish() sorts the tail run; Next()
-/// merges runs with a run-index tie-break. Runs are consecutive input
+/// every order-sensitive breaker (the serialize sort, Grace-join order
+/// restoration, and δ survivor merge). Rows accumulate in memory
+/// (charged against `budget`); when the governor says spill, the buffer
+/// is stable-sorted and flushed as one sorted run. Finish() sorts the
+/// tail run; Next() merges runs with a run-index tie-break, and the run
+/// heads it holds stay charged. Runs are consecutive input
 /// ranges, so (key, run index, position in run) reproduces a stable
 /// in-memory sort of the whole input bit-for-bit — which is how every
 /// spilled path stays order-identical to the serial executor.

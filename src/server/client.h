@@ -42,8 +42,8 @@ struct PrepareResult {
 
 struct ExecuteResult {
   uint32_t cursor_id = 0;
-  /// -1 when the server cannot know the cardinality yet (a spill-governed
-  /// streaming tail learns it only as the cursor drains).
+  /// -1 = unknown (the wire's reserved value; the server primes every
+  /// cursor before replying, so it sends the cardinality).
   int64_t rows_total = -1;
   double execute_seconds = 0.0;
 };

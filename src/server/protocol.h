@@ -57,8 +57,8 @@ enum class Opcode : uint8_t {
   kPrepareOk = 0x82,  ///< u32 stmt_id, u8 query_class, u8 has_plan,
                       ///< u8 used_fallback, f64 est_cost,
                       ///< u32 n_params, n × (str name, u8 numeric)
-  kExecuteOk = 0x83,  ///< u32 cursor_id, i64 rows_total (-1 = unknown
-                      ///< until the cursor drains), f64 exec_seconds
+  kExecuteOk = 0x83,  ///< u32 cursor_id, i64 rows_total (-1 = unknown;
+                      ///< a primed cursor always knows it), f64 exec_seconds
   kRows = 0x84,       ///< u8 exhausted, u32 n, n × str
   kStatsOk = 0x85,    ///< str json
   kError = 0xE0,      ///< u8 code (ErrorCode), str message

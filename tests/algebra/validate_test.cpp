@@ -60,6 +60,20 @@ const ValidationError* FindError(const std::vector<ValidationError>& errors,
   return nullptr;
 }
 
+/// Clears a deliberately closed back edge when the test scope ends, on
+/// every exit path (ASSERT_* returns early): the cycle's shared_ptrs
+/// would otherwise keep each other alive past the test.
+class BackEdgeGuard {
+ public:
+  explicit BackEdgeGuard(OpPtr* edge) : edge_(edge) {}
+  ~BackEdgeGuard() { edge_->reset(); }
+  BackEdgeGuard(const BackEdgeGuard&) = delete;
+  BackEdgeGuard& operator=(const BackEdgeGuard&) = delete;
+
+ private:
+  OpPtr* edge_;
+};
+
 TEST(ValidateTest, WellFormedPlanHasNoErrors) {
   auto errors = ValidatePlan(WellFormedPlan(), "test");
   EXPECT_TRUE(errors.empty())
@@ -82,6 +96,7 @@ TEST(ValidateTest, CyclicShareIsRejected) {
   OpPtr rank = root->children[0];
   OpPtr sel = rank->children[0];
   sel->children[0] = rank;
+  BackEdgeGuard guard(&sel->children[0]);
   auto errors = ValidatePlan(root, "test");
   ASSERT_TRUE(Reports(errors, "acyclic"));
   // The diagnostic names the edge that closes the cycle.
@@ -193,9 +208,14 @@ TEST(ValidateTest, DuplicateSchemaColumnIsSchemaUnique) {
 }
 
 TEST(ValidateTest, OverlappingJoinInputsAreSchemaUnique) {
-  // Both join inputs produce the doc columns — every consumed column now
-  // has two producers, so the join output is ambiguous.
-  OpPtr cross = MakeCross(MakeDocTable(), MakeDocTable());
+  // A rewrite renamed the right input's column onto the left's name:
+  // the column now has two producers, so the join output is ambiguous.
+  OpPtr doc = MakeDocTable();
+  OpPtr left = MakeProject(doc, {{"l_pre", "pre"}});
+  OpPtr right = MakeProject(doc, {{"r_pre", "pre"}});
+  OpPtr cross = MakeCross(left, right);
+  right->proj = {{"l_pre", "pre"}};
+  right->schema = {"l_pre"};
   ValidateOptions opts;
   opts.expect_serialize_root = false;
   auto errors = ValidatePlan(cross, "test", opts);
@@ -302,6 +322,7 @@ TEST(ValidateTest, CycleExcerptTerminates) {
   OpPtr root = WellFormedPlan();
   OpPtr rank = root->children[0];
   rank->children[0]->children[0] = rank;
+  BackEdgeGuard guard(&rank->children[0]->children[0]);
   auto errors = ValidatePlan(root, "test");
   ASSERT_TRUE(Reports(errors, "acyclic"));
   EXPECT_LT(FindError(errors, "acyclic")->excerpt.size(), 4096u);

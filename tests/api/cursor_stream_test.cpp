@@ -10,7 +10,8 @@
 //   * an open, undrained cursor retains tracked memory proportional to
 //     the budget/batch, not to the result — compared directly against a
 //     cursor over the same query with no memory budget, whose final sort
-//     breaker holds the whole result in memory;
+//     breaker holds the whole result in memory — and knows the result
+//     cardinality at Prime, on the stacked and the join-graph lane alike;
 //   * a fetch that times out still accrues its wall time into
 //     stats().fetch_seconds (regression: the old FetchNext added the
 //     elapsed time only on the success path, so timed-out fetches did
@@ -56,13 +57,15 @@ class CursorStreamTest : public ::testing::Test {
     processor_ = nullptr;
   }
 
-  static Result<std::shared_ptr<const api::PreparedQuery>> PrepareStacked(
-      const std::string& doc) {
+  static Result<std::shared_ptr<const api::PreparedQuery>> Prepare(
+      const std::string& doc, api::Mode mode = api::Mode::kStacked) {
     api::PrepareOptions prep;
-    prep.mode = api::Mode::kStacked;
+    prep.mode = mode;
     prep.context_document = doc;
     return processor_->Prepare("doc(\"" + doc + "\")//x", prep);
   }
+
+  static void CheckRetainsBatchNotResult(api::Mode mode);
 
   static api::XQueryProcessor* processor_;
 };
@@ -70,7 +73,14 @@ class CursorStreamTest : public ::testing::Test {
 api::XQueryProcessor* CursorStreamTest::processor_ = nullptr;
 
 TEST_F(CursorStreamTest, OpenCursorRetainsBatchNotResult) {
-  auto pq = PrepareStacked("big.xml");
+  for (api::Mode mode : {api::Mode::kStacked, api::Mode::kJoinGraph}) {
+    SCOPED_TRACE(api::ModeToString(mode));
+    CheckRetainsBatchNotResult(mode);
+  }
+}
+
+void CursorStreamTest::CheckRetainsBatchNotResult(api::Mode mode) {
+  auto pq = Prepare("big.xml", mode);
   ASSERT_TRUE(pq.ok()) << pq.status().ToString();
 
   // The unbudgeted execution is both the items oracle and the memory
@@ -90,8 +100,8 @@ TEST_F(CursorStreamTest, OpenCursorRetainsBatchNotResult) {
   auto cursor = processor_->Execute(pq.value(), exec);
   ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
   ASSERT_TRUE(cursor.value()->Prime().ok());
-  // The stacked lane is primed through its final breaker, so cardinality
-  // is known before the first fetch…
+  // The lane is primed through its final breaker, so cardinality is
+  // known before the first fetch…
   EXPECT_EQ(cursor.value()->stats().rows_total, kBigRows);
   // …and the breaker actually went external at this budget: the drain
   // below exercises the run merge, not a buffered fast path.
@@ -120,7 +130,7 @@ TEST_F(CursorStreamTest, OpenCursorRetainsBatchNotResult) {
 }
 
 TEST_F(CursorStreamTest, TimedOutFetchStillAccruesFetchSeconds) {
-  auto pq = PrepareStacked("mid.xml");
+  auto pq = Prepare("mid.xml");
   ASSERT_TRUE(pq.ok()) << pq.status().ToString();
 
   // The execution deadline is absolute from Execute. Prime comfortably

@@ -1,7 +1,7 @@
 // Columnar batch executor: typed-column round trips, operator-level
 // agreement with the row evaluator on hand-built plans, the NULL-join-key
-// regression (NULL keys must never match in a hash join, in the algebra
-// and the physical-plan executor), and the memoization regression
+// regression (NULL keys must never match in a hash join, in an algebra
+// plan and in a lowered join-graph plan), and the memoization regression
 // (shared sub-plans are materialized — and counted — exactly once).
 #include <gtest/gtest.h>
 

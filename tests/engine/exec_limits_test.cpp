@@ -264,8 +264,8 @@ TEST(ExecLimits, DeferredGatherBoundariesHonorBudgets) {
 }
 
 TEST(ExecLimits, PhysicalPlanNamePredicatesHonorTheRowBudget) {
-  // The compiled dict-code equality quals of the physical-plan executors
-  // (name = '...') sit inside every scan probe; the row budget must trip
+  // The compiled dict-code equality quals of join-graph plans
+  // (name = '...') sit inside every scan and probe; the row budget must trip
   // there with and without B-tree indexes, serial and morsel-parallel.
   for (bool with_indexes : {false, true}) {
     api::XQueryProcessor processor;

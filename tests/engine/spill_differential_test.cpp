@@ -224,18 +224,72 @@ class GraceJoinSpill : public ::testing::Test {
                                   data::GenerateXmark(xmark))
                     .ok());
     db_ = engine::Database::Build(*doc_).release();
+    // The index-probe cases need an outer side wider than one 4096-row
+    // stream window, and a B-tree on `pre` to probe.
+    big_doc_ = new xml::DocTable();
+    xmark.scale = 0.3;
+    ASSERT_TRUE(xml::LoadDocument(big_doc_, "auction.xml",
+                                  data::GenerateXmark(xmark))
+                    .ok());
+    big_db_ = engine::Database::Build(*big_doc_).release();
+    ASSERT_TRUE(big_db_->CreateIndex({"p", {"pre"}, {}, false}).ok());
   }
   static void TearDownTestSuite() {
+    delete big_db_;
+    delete big_doc_;
     delete db_;
     delete doc_;
   }
 
+  static opt::QualTerm PreOf(int alias) {
+    opt::QualTerm t;
+    t.alias = alias;
+    t.col = "pre";
+    return t;
+  }
+
+  static std::unique_ptr<engine::PhysNode> Scan(engine::PhysKind kind,
+                                                int alias) {
+    auto scan = std::make_unique<engine::PhysNode>();
+    scan->kind = kind;
+    scan->alias = alias;
+    if (kind == engine::PhysKind::kIxScan) {
+      scan->index = big_db_->indexes().front().get();
+    }
+    return scan;
+  }
+
+  /// Runs `plan` over the big corpus at every budget × worker count and
+  /// holds each run to 0..N-1.
+  static void ExpectIdentityAtEveryBudget(const engine::PhysicalPlan& plan) {
+    std::vector<int64_t> expected(static_cast<size_t>(big_db_->row_count()));
+    std::iota(expected.begin(), expected.end(), 0);
+    for (int threads : kThreadCounts) {
+      for (int64_t budget : {int64_t{0}, kTinyBudget}) {
+        engine::PlannerOptions options;
+        options.threads = threads;
+        options.limits.max_memory_bytes = budget;
+        auto result = testutil::Drain(engine::columnar::OpenPlanStreamColumnar(
+            plan, *big_db_, options, nullptr));
+        ASSERT_TRUE(result.ok()) << "threads=" << threads << " budget="
+                                 << budget << ": "
+                                 << result.status().ToString();
+        EXPECT_EQ(result.value(), expected)
+            << "diverges at threads=" << threads << " budget=" << budget;
+      }
+    }
+  }
+
   static xml::DocTable* doc_;
   static engine::Database* db_;
+  static xml::DocTable* big_doc_;
+  static engine::Database* big_db_;
 };
 
 xml::DocTable* GraceJoinSpill::doc_ = nullptr;
 engine::Database* GraceJoinSpill::db_ = nullptr;
+xml::DocTable* GraceJoinSpill::big_doc_ = nullptr;
+engine::Database* GraceJoinSpill::big_db_ = nullptr;
 
 TEST_F(GraceJoinSpill, HashBuildAndTailSortSpillBitIdentically) {
   // The floor: below kMinSpillRows the governor refuses to spill (by
@@ -299,6 +353,42 @@ TEST_F(GraceJoinSpill, HashBuildAndTailSortSpillBitIdentically) {
         << ": expected both the hash build and the tail sort to spill";
     EXPECT_GT(stats.spill_bytes, 0);
   }
+}
+
+TEST_F(GraceJoinSpill, IndexScanLeafIsBitIdentical) {
+  // An unbounded range over the B-tree on `pre` yields every row, in key
+  // order — again 0..N-1.
+  opt::JoinGraph graph;
+  graph.num_aliases = 1;
+  graph.item = PreOf(0);
+  graph.select_list = {graph.item};
+  engine::PhysicalPlan plan;
+  plan.graph = &graph;
+  plan.root = Scan(engine::PhysKind::kIxScan, 0);
+  ExpectIdentityAtEveryBudget(plan);
+}
+
+TEST_F(GraceJoinSpill, IndexNestedLoopIsBitIdentical) {
+  // Every doc row probes the B-tree on `pre` for itself. The outer side
+  // spans more than one 4096-row stream window and is far past the
+  // 256-row cutoff of the morsel-parallel probe.
+  ASSERT_GT(big_db_->row_count(), 4096);
+  opt::JoinGraph graph;
+  graph.num_aliases = 2;
+  graph.predicates.push_back({PreOf(0), algebra::CmpOp::kEq, PreOf(1)});
+  graph.item = PreOf(1);
+  graph.select_list = {graph.item};
+  engine::PhysicalPlan plan;
+  plan.graph = &graph;
+  auto join = std::make_unique<engine::PhysNode>();
+  join->kind = engine::PhysKind::kNlJoin;
+  join->preds = graph.predicates;
+  join->left = Scan(engine::PhysKind::kTbScan, 0);
+  join->right = Scan(engine::PhysKind::kIxScan, 1);
+  join->right->preds = graph.predicates;
+  join->right->eq_prefix = 1;
+  plan.root = std::move(join);
+  ExpectIdentityAtEveryBudget(plan);
 }
 
 }  // namespace

@@ -6,7 +6,7 @@
 //
 //   native whole-document interpretation      (the reference)
 //   stacked plan, columnar batch executor     (late-mat σ/π chains)
-//   join graph, columnar plan executor        (indexed + bare plans)
+//   join graph, lowered onto the same pipeline (indexed + bare plans)
 //
 // Each relational lane runs through Prepare + ExecuteAll twice: with no
 // memory budget and with a 16 KiB budget that pushes the pipeline
