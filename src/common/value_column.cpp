@@ -312,12 +312,15 @@ bool ValueColumn::SortLessAt(const ValueColumn& a, size_t arow,
   return a.GetValue(arow).SortLess(b.GetValue(brow));
 }
 
-ValueColumn ValueColumn::Ints(std::vector<int64_t> v) {
+ValueColumn ValueColumn::Ints(std::vector<int64_t> v,
+                              std::vector<uint8_t> nulls) {
   ValueColumn col;
   col.tag_ = ColumnTag::kInt;
   col.tag_decided_ = true;
   col.size_ = v.size();
   col.ints_ = std::move(v);
+  if (!nulls.empty()) nulls.resize(col.size_, 0);  // mask covers every row
+  col.nulls_ = std::move(nulls);
   return col;
 }
 
@@ -359,6 +362,22 @@ ValueColumn ValueColumn::DictStrings(const std::vector<std::string>& v,
     // NULL slots carry code 0 as a don't-care (the mask wins).
     col.codes_.push_back(col.IsNull(i) ? 0 : col.dict_->Intern(v[i]));
   }
+  return col;
+}
+
+ValueColumn ValueColumn::DictCodes(std::shared_ptr<const StringDict> dict,
+                                   std::vector<uint32_t> codes,
+                                   std::vector<uint8_t> nulls) {
+  ValueColumn col;
+  col.tag_ = ColumnTag::kDictString;
+  col.tag_decided_ = true;
+  col.size_ = codes.size();
+  // Shared like a gather's dictionary: an append of a new distinct string
+  // copies it first (MutableDict), so the const view stays immutable.
+  col.dict_ = std::const_pointer_cast<StringDict>(std::move(dict));
+  col.codes_ = std::move(codes);
+  if (!nulls.empty()) nulls.resize(col.size_, 0);  // mask covers every row
+  col.nulls_ = std::move(nulls);
   return col;
 }
 

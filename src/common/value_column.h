@@ -106,7 +106,8 @@ class ValueColumn {
   }
 
   /// Bulk constructors (empty `nulls` = no NULL rows; else one flag/row).
-  static ValueColumn Ints(std::vector<int64_t> v);
+  static ValueColumn Ints(std::vector<int64_t> v,
+                          std::vector<uint8_t> nulls = {});
   static ValueColumn Doubles(std::vector<double> v,
                              std::vector<uint8_t> nulls = {});
   static ValueColumn Strings(std::vector<std::string> v,
@@ -114,6 +115,11 @@ class ValueColumn {
   /// Dictionary-encoded construction: interns every non-NULL string.
   static ValueColumn DictStrings(const std::vector<std::string>& v,
                                  std::vector<uint8_t> nulls = {});
+  /// Dictionary column over an existing dictionary, shared (never
+  /// copied): `codes` index `dict`'s entries.
+  static ValueColumn DictCodes(std::shared_ptr<const StringDict> dict,
+                               std::vector<uint32_t> codes,
+                               std::vector<uint8_t> nulls = {});
 
   /// New column with rows picked by `idx` (typed gather, no Value boxing;
   /// dictionary columns share the dictionary with the source).

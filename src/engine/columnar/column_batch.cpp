@@ -14,6 +14,20 @@ int ColumnBatch::ColumnIndex(const std::string& name) const {
   return -1;
 }
 
+int64_t ApproxBatchBytes(const ColumnBatch& b) {
+  int64_t bytes = 64;  // struct + schema overhead floor
+  const size_t phys = b.PhysSize();
+  for (const ColumnRef& col : b.cols) {
+    int64_t cb = col->ApproxBytes();
+    if (b.sel && phys > 0) {
+      cb = cb * static_cast<int64_t>(b.num_rows) /
+           static_cast<int64_t>(phys);
+    }
+    bytes += cb;
+  }
+  return bytes;
+}
+
 ColumnBatch BatchFromMatTable(const MatTable& table) {
   ColumnBatch batch;
   batch.schema = table.schema;
@@ -107,6 +121,58 @@ Result<ColumnBatch> DocRelationBatch(const xml::DocTable& doc,
   return batch;
 }
 
+ValueColumn GatherColumn(const RowRefs& refs, size_t c) {
+  // Sources in one raw representation — NULL-free int64, or codes of one
+  // shared dictionary — gather raw; anything else appends cell by cell.
+  const ValueColumn& first = *refs.front().first->cols[c];
+  const StringDict* dict =
+      first.tag() == ColumnTag::kDictString ? &first.dict() : nullptr;
+  bool ints = true, codes = dict != nullptr, nulls = false;
+  const ColumnBatch* checked = nullptr;
+  for (const auto& ref : refs) {
+    if (ref.first == checked) continue;
+    checked = ref.first;
+    const ValueColumn& col = *ref.first->cols[c];
+    ints = ints && col.tag() == ColumnTag::kInt && !col.has_nulls();
+    codes = codes && col.tag() == ColumnTag::kDictString &&
+            &col.dict() == dict;
+    nulls = nulls || col.has_nulls();
+  }
+  const size_t n = refs.size();
+  if (ints) {
+    std::vector<int64_t> v(n);
+    for (size_t i = 0; i < n; ++i) {
+      v[i] = refs[i].first->cols[c]->ints()[refs[i].second];
+    }
+    return ValueColumn::Ints(std::move(v));
+  }
+  if (codes) {
+    std::vector<uint32_t> v(n);
+    std::vector<uint8_t> mask(nulls ? n : 0);
+    for (size_t i = 0; i < n; ++i) {
+      const ValueColumn& col = *refs[i].first->cols[c];
+      v[i] = col.dict_codes()[refs[i].second];
+      if (nulls) mask[i] = col.IsNull(refs[i].second) ? 1 : 0;
+    }
+    return ValueColumn::DictCodes(first.dict_ptr(), std::move(v),
+                                  std::move(mask));
+  }
+  ValueColumn col;
+  col.Reserve(n);
+  for (const auto& [batch, row] : refs) col.AppendFrom(*batch->cols[c], row);
+  return col;
+}
+
+ColumnBatch GatherRows(const RowRefs& refs) {
+  ColumnBatch out;
+  out.num_rows = refs.size();
+  for (size_t c = 0; c < refs.front().first->cols.size(); ++c) {
+    out.cols.push_back(
+        std::make_shared<const ValueColumn>(GatherColumn(refs, c)));
+  }
+  return out;
+}
+
 ColumnBatch GatherPhysicalRows(const ColumnBatch& batch,
                                const std::vector<uint32_t>& phys_idx) {
   ColumnBatch out;
@@ -117,21 +183,6 @@ ColumnBatch GatherPhysicalRows(const ColumnBatch& batch,
     out.cols.push_back(
         std::make_shared<const ValueColumn>(col->Gather(phys_idx)));
   }
-  return out;
-}
-
-ColumnBatch GatherBatch(const ColumnBatch& batch,
-                        const std::vector<uint32_t>& idx) {
-  ColumnBatch out;
-  if (batch.sel) {
-    std::vector<uint32_t> translated;
-    translated.reserve(idx.size());
-    for (uint32_t i : idx) translated.push_back((*batch.sel)[i]);
-    out = GatherPhysicalRows(batch, translated);
-  } else {
-    out = GatherPhysicalRows(batch, idx);
-  }
-  out.schema = batch.schema;
   return out;
 }
 

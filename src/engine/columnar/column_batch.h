@@ -16,6 +16,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/status.h"
@@ -27,6 +28,9 @@
 namespace xqjg::engine::columnar {
 
 using ColumnRef = std::shared_ptr<const ValueColumn>;
+
+/// Rows per pipeline window: streams move ≤kStreamRows rows per pull.
+constexpr size_t kStreamRows = 4096;
 
 struct ColumnBatch {
   std::vector<std::string> schema;
@@ -44,6 +48,12 @@ struct ColumnBatch {
   int ColumnIndex(const std::string& name) const;
 };
 
+/// Tracked bytes of one batch — the unit breakers charge against the
+/// MemoryBudget. Lazy batches share physical columns wider than their
+/// row set; their charge is scaled to the selected share so a window over
+/// a large shared column does not bill the whole column per window.
+int64_t ApproxBatchBytes(const ColumnBatch& b);
+
 /// Row-major ↔ columnar conversion at the executor boundary.
 ColumnBatch BatchFromMatTable(const MatTable& table);
 MatTable BatchToMatTable(const ColumnBatch& batch);
@@ -54,14 +64,21 @@ MatTable BatchToMatTable(const ColumnBatch& batch);
 Result<ColumnBatch> DocRelationBatch(const xml::DocTable& doc,
                                      BudgetClock* clock);
 
-/// New dense batch holding LOGICAL rows `idx` of `batch` (typed gather of
-/// every column; indices are translated through the selection vector).
-ColumnBatch GatherBatch(const ColumnBatch& batch,
-                        const std::vector<uint32_t>& idx);
+/// One (batch, physical row) pair per row of a multi-batch gather.
+using RowRefs = std::vector<std::pair<const ColumnBatch*, uint32_t>>;
 
-/// Same, but `phys_idx` already indexes the physical columns (no schema,
-/// no selection-vector translation) — the shared per-column gather loop
-/// behind GatherBatch and the executor's density-cutoff compaction.
+/// Column `c` of the rows `refs` names, in order. Sources that are all
+/// NULL-free int64, or all codes of one shared dictionary, copy raw (the
+/// result keeps that dictionary); others append cell by cell
+/// (ValueColumn::AppendFrom).
+ValueColumn GatherColumn(const RowRefs& refs, size_t c);
+
+/// Dense batch (no schema) of the rows `refs` names — GatherColumn over
+/// every column of the first referenced batch's width.
+ColumnBatch GatherRows(const RowRefs& refs);
+
+/// New dense batch (no schema) holding the physical rows `phys_idx` of
+/// `batch`'s columns — a typed gather of every column.
 ColumnBatch GatherPhysicalRows(const ColumnBatch& batch,
                                const std::vector<uint32_t>& phys_idx);
 

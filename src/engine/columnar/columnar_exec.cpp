@@ -31,52 +31,67 @@ using algebra::Term;
 namespace {
 
 // ---------------------------------------------------------------------------
-// Term / comparison compilation. A Comparison is bound once per batch (column
+// Term / comparison compilation. A Comparison is bound once per input (column
 // name -> ValueColumn*), then evaluated per row; conjuncts whose columns are
-// all null-free int64 compile to a branch-light integer kernel.
+// all null-free int64 compile to a branch-light integer kernel. A join binds
+// each name against its left input, then its right; σ binds against one
+// batch and an empty right.
 
-/// A term bound against one batch (single-input operators).
-struct BoundTerm {
+/// A bound column of a term and the input it reads.
+struct ColRef {
   const ValueColumn* col = nullptr;
-  const ValueColumn* col2 = nullptr;
-  bool missing = false;  ///< a named column is absent from the schema
+  bool left = true;
+};
+
+struct BoundTerm {
+  ColRef a, b;  ///< term.col / term.col2
+  bool missing = false;  ///< a named column is absent from both inputs
   Value constant;
 };
 
-BoundTerm BindTerm(const Term& term, const ColumnBatch& batch) {
-  BoundTerm b;
-  b.constant = term.constant;
-  auto resolve = [&](const std::string& name, const ValueColumn** out) {
+BoundTerm BindTerm(const Term& term, const ColumnBatch& left,
+                   const ColumnBatch& right) {
+  BoundTerm t;
+  t.constant = term.constant;
+  auto resolve = [&](const std::string& name, ColRef* out) {
     if (name.empty()) return;
-    int idx = batch.ColumnIndex(name);
-    if (idx < 0) {
-      b.missing = true;
+    int idx = left.ColumnIndex(name);
+    if (idx >= 0) {
+      out->col = left.cols[static_cast<size_t>(idx)].get();
+      out->left = true;
       return;
     }
-    *out = batch.cols[static_cast<size_t>(idx)].get();
+    idx = right.ColumnIndex(name);
+    if (idx >= 0) {
+      out->col = right.cols[static_cast<size_t>(idx)].get();
+      out->left = false;
+      return;
+    }
+    t.missing = true;
   };
-  resolve(term.col, &b.col);
-  resolve(term.col2, &b.col2);
-  return b;
+  resolve(term.col, &t.a);
+  resolve(term.col2, &t.b);
+  return t;
 }
 
 /// Mirrors EvalTerm in algebra_exec.cpp: Σ cols + constant, NULL-poisoning,
 /// int+int stays int, any other numeric mix widens to double, non-numeric
 /// addition is undefined (NULL).
-Value BoundTermValue(const BoundTerm& t, size_t row) {
+Value TermValue(const BoundTerm& t, size_t lrow, size_t rrow) {
   if (t.missing) return Value::Null();
   Value acc = t.constant;
   bool have = !acc.is_null();
-  auto add = [&](const ValueColumn* c) -> bool {
-    if (!c) return true;
-    if (c->IsNull(row)) {
+  auto add = [&](const ColRef& ref) -> bool {
+    if (!ref.col) return true;
+    const size_t row = ref.left ? lrow : rrow;
+    if (ref.col->IsNull(row)) {
       acc = Value::Null();
       return false;
     }
-    return AccumulateTermValue(&acc, &have, c->GetValue(row));
+    return AccumulateTermValue(&acc, &have, ref.col->GetValue(row));
   };
-  if (!add(t.col)) return Value::Null();
-  if (!add(t.col2)) return Value::Null();
+  if (!add(t.a)) return Value::Null();
+  if (!add(t.b)) return Value::Null();
   return acc;
 }
 
@@ -85,33 +100,38 @@ Value BoundTermValue(const BoundTerm& t, size_t row) {
 struct FastIntTerm {
   bool ok = false;
   const int64_t* a = nullptr;
+  bool a_left = true;
   const int64_t* b = nullptr;
+  bool b_left = true;
   int64_t k = 0;
 };
 
 FastIntTerm FastInt(const BoundTerm& t) {
   FastIntTerm f;
   if (t.missing) return f;
-  if (!t.col && !t.col2 && t.constant.is_null()) return f;  // NULL term
+  if (!t.a.col && !t.b.col && t.constant.is_null()) return f;  // NULL term
   if (!t.constant.is_null()) {
     if (t.constant.type() != ValueType::kInt) return f;
     f.k = t.constant.AsInt();
   }
-  auto use = [](const ValueColumn* c, const int64_t** out) {
-    if (!c) return true;
-    if (c->tag() != ColumnTag::kInt || c->has_nulls()) return false;
-    *out = c->ints().data();
+  auto use = [](const ColRef& ref, const int64_t** out, bool* out_left) {
+    if (!ref.col) return true;
+    if (ref.col->tag() != ColumnTag::kInt || ref.col->has_nulls()) {
+      return false;
+    }
+    *out = ref.col->ints().data();
+    *out_left = ref.left;
     return true;
   };
-  if (!use(t.col, &f.a) || !use(t.col2, &f.b)) return f;
+  if (!use(t.a, &f.a, &f.a_left) || !use(t.b, &f.b, &f.b_left)) return f;
   f.ok = true;
   return f;
 }
 
-inline int64_t FastIntValue(const FastIntTerm& f, size_t row) {
+inline int64_t FastIntValue(const FastIntTerm& f, size_t lrow, size_t rrow) {
   int64_t v = f.k;
-  if (f.a) v += f.a[row];
-  if (f.b) v += f.b[row];
+  if (f.a) v += f.a[f.a_left ? lrow : rrow];
+  if (f.b) v += f.b[f.b_left ? lrow : rrow];
   return v;
 }
 
@@ -133,27 +153,29 @@ inline bool IntPasses(int64_t a, CmpOp op, int64_t b) {
   return false;
 }
 
-/// Dictionary equality fast path: `dict_col = 'const'` (or ≠) compiles to
-/// the shared DictEqKernel (common/value_column.h — one uint32 compare
-/// per row, same kernel the index probe uses via qual_eval.h).
+/// Dictionary equality fast path: `dict_col = 'const'` (or ≠) over a left
+/// column compiles to the shared DictEqKernel (common/value_column.h — one
+/// uint32 compare per row, same kernel the index probe uses via
+/// qual_eval.h).
 DictEqKernel FastDict(const BoundTerm& lhs, const BoundTerm& rhs, CmpOp op) {
   if (op != CmpOp::kEq && op != CmpOp::kNe) return {};
   auto single_dict_col = [](const BoundTerm& t) -> const ValueColumn* {
-    if (t.missing || !t.col || t.col2 || !t.constant.is_null()) {
+    if (t.missing || !t.a.col || !t.a.left || t.b.col ||
+        !t.constant.is_null()) {
       return nullptr;
     }
-    return t.col->tag() == ColumnTag::kDictString ? t.col : nullptr;
+    return t.a.col->tag() == ColumnTag::kDictString ? t.a.col : nullptr;
   };
   auto string_const = [](const BoundTerm& t) {
-    return !t.missing && !t.col && !t.col2 &&
+    return !t.missing && !t.a.col && !t.b.col &&
            t.constant.type() == ValueType::kString;
   };
   if (single_dict_col(lhs) && string_const(rhs)) {
-    return DictEqKernel::Compile(*lhs.col, rhs.constant.AsString(),
+    return DictEqKernel::Compile(*lhs.a.col, rhs.constant.AsString(),
                                  op == CmpOp::kNe);
   }
   if (single_dict_col(rhs) && string_const(lhs)) {
-    return DictEqKernel::Compile(*rhs.col, lhs.constant.AsString(),
+    return DictEqKernel::Compile(*rhs.a.col, lhs.constant.AsString(),
                                  op == CmpOp::kNe);
   }
   return {};
@@ -167,16 +189,19 @@ struct CompiledCmp {
   bool fast = false;
 };
 
-CompiledCmp CompileCmp(const Comparison& cmp, const ColumnBatch& batch,
+CompiledCmp CompileCmp(const Comparison& cmp, const ColumnBatch& left,
+                       const ColumnBatch& right,
                        const std::vector<Value>* params) {
   CompiledCmp c;
   // Parameter markers substitute their bound Value before binding, so a
   // bound string parameter still reaches the dictionary fast path. The
   // common unparameterized case pays no Term copy.
-  c.lhs = params ? BindTerm(algebra::ResolveParams(cmp.lhs, params), batch)
-                 : BindTerm(cmp.lhs, batch);
-  c.rhs = params ? BindTerm(algebra::ResolveParams(cmp.rhs, params), batch)
-                 : BindTerm(cmp.rhs, batch);
+  c.lhs = params ? BindTerm(algebra::ResolveParams(cmp.lhs, params), left,
+                            right)
+                 : BindTerm(cmp.lhs, left, right);
+  c.rhs = params ? BindTerm(algebra::ResolveParams(cmp.rhs, params), left,
+                            right)
+                 : BindTerm(cmp.rhs, left, right);
   c.op = cmp.op;
   c.fast_lhs = FastInt(c.lhs);
   c.fast_rhs = FastInt(c.rhs);
@@ -185,146 +210,22 @@ CompiledCmp CompileCmp(const Comparison& cmp, const ColumnBatch& batch,
   return c;
 }
 
-/// `row` is a PHYSICAL row index of the batch the comparison was compiled
-/// against (callers translate through ColumnBatch::PhysRow).
-inline bool CmpPasses(const CompiledCmp& c, size_t row) {
-  if (c.fast_dict.ok) return c.fast_dict.Test(row);
+/// The generic (boxed Value) evaluation, kept out of line so the kernels
+/// in CmpPasses stay small enough to inline into the row loops.
+bool ValueCmpPasses(const CompiledCmp& c, size_t lrow, size_t rrow) {
+  return CompareValues(TermValue(c.lhs, lrow, rrow), c.op,
+                       TermValue(c.rhs, lrow, rrow));
+}
+
+/// `lrow` / `rrow` are PHYSICAL rows of the batches the comparison was
+/// compiled against (callers translate through ColumnBatch::PhysRow).
+inline bool CmpPasses(const CompiledCmp& c, size_t lrow, size_t rrow) {
   if (c.fast) {
-    return IntPasses(FastIntValue(c.fast_lhs, row), c.op,
-                     FastIntValue(c.fast_rhs, row));
+    return IntPasses(FastIntValue(c.fast_lhs, lrow, rrow), c.op,
+                     FastIntValue(c.fast_rhs, lrow, rrow));
   }
-  return CompareValues(BoundTermValue(c.lhs, row), c.op,
-                       BoundTermValue(c.rhs, row));
-}
-
-// --- Join-side variants: a term bound against (left, right) batches. ------
-
-struct JoinColRef {
-  const ValueColumn* col = nullptr;
-  bool left = true;
-};
-
-struct JoinBoundTerm {
-  JoinColRef a, b;  ///< term.col / term.col2
-  bool missing = false;
-  Value constant;
-};
-
-JoinBoundTerm BindJoinTerm(const Term& term, const ColumnBatch& left,
-                           const ColumnBatch& right) {
-  JoinBoundTerm t;
-  t.constant = term.constant;
-  auto resolve = [&](const std::string& name, JoinColRef* out) {
-    if (name.empty()) return;
-    int idx = left.ColumnIndex(name);
-    if (idx >= 0) {
-      out->col = left.cols[static_cast<size_t>(idx)].get();
-      out->left = true;
-      return;
-    }
-    idx = right.ColumnIndex(name);
-    if (idx >= 0) {
-      out->col = right.cols[static_cast<size_t>(idx)].get();
-      out->left = false;
-      return;
-    }
-    t.missing = true;
-  };
-  resolve(term.col, &t.a);
-  resolve(term.col2, &t.b);
-  return t;
-}
-
-Value JoinTermValue(const JoinBoundTerm& t, size_t lrow, size_t rrow) {
-  if (t.missing) return Value::Null();
-  Value acc = t.constant;
-  bool have = !acc.is_null();
-  auto add = [&](const JoinColRef& ref) -> bool {
-    if (!ref.col) return true;
-    const size_t row = ref.left ? lrow : rrow;
-    if (ref.col->IsNull(row)) {
-      acc = Value::Null();
-      return false;
-    }
-    return AccumulateTermValue(&acc, &have, ref.col->GetValue(row));
-  };
-  if (!add(t.a)) return Value::Null();
-  if (!add(t.b)) return Value::Null();
-  return acc;
-}
-
-struct FastIntJoinTerm {
-  bool ok = false;
-  const int64_t* a = nullptr;
-  bool a_left = true;
-  const int64_t* b = nullptr;
-  bool b_left = true;
-  int64_t k = 0;
-};
-
-FastIntJoinTerm FastIntJoin(const JoinBoundTerm& t) {
-  FastIntJoinTerm f;
-  if (t.missing) return f;
-  if (!t.a.col && !t.b.col && t.constant.is_null()) return f;
-  if (!t.constant.is_null()) {
-    if (t.constant.type() != ValueType::kInt) return f;
-    f.k = t.constant.AsInt();
-  }
-  auto use = [](const JoinColRef& ref, const int64_t** out, bool* out_left) {
-    if (!ref.col) return true;
-    if (ref.col->tag() != ColumnTag::kInt || ref.col->has_nulls()) {
-      return false;
-    }
-    *out = ref.col->ints().data();
-    *out_left = ref.left;
-    return true;
-  };
-  if (!use(t.a, &f.a, &f.a_left) || !use(t.b, &f.b, &f.b_left)) return f;
-  f.ok = true;
-  return f;
-}
-
-inline int64_t FastIntJoinValue(const FastIntJoinTerm& f, size_t lrow,
-                                size_t rrow) {
-  int64_t v = f.k;
-  if (f.a) v += f.a[f.a_left ? lrow : rrow];
-  if (f.b) v += f.b[f.b_left ? lrow : rrow];
-  return v;
-}
-
-struct CompiledJoinCmp {
-  JoinBoundTerm lhs, rhs;
-  FastIntJoinTerm fast_lhs, fast_rhs;
-  CmpOp op = CmpOp::kEq;
-  bool fast = false;
-};
-
-CompiledJoinCmp CompileJoinCmp(const Comparison& cmp, const ColumnBatch& left,
-                               const ColumnBatch& right,
-                               const std::vector<Value>* params) {
-  CompiledJoinCmp c;
-  c.lhs = params
-              ? BindJoinTerm(algebra::ResolveParams(cmp.lhs, params), left,
-                             right)
-              : BindJoinTerm(cmp.lhs, left, right);
-  c.rhs = params
-              ? BindJoinTerm(algebra::ResolveParams(cmp.rhs, params), left,
-                             right)
-              : BindJoinTerm(cmp.rhs, left, right);
-  c.op = cmp.op;
-  c.fast_lhs = FastIntJoin(c.lhs);
-  c.fast_rhs = FastIntJoin(c.rhs);
-  c.fast = c.fast_lhs.ok && c.fast_rhs.ok;
-  return c;
-}
-
-inline bool JoinCmpPasses(const CompiledJoinCmp& c, size_t lrow, size_t rrow) {
-  if (c.fast) {
-    return IntPasses(FastIntJoinValue(c.fast_lhs, lrow, rrow), c.op,
-                     FastIntJoinValue(c.fast_rhs, lrow, rrow));
-  }
-  return CompareValues(JoinTermValue(c.lhs, lrow, rrow), c.op,
-                       JoinTermValue(c.rhs, lrow, rrow));
+  if (c.fast_dict.ok) return c.fast_dict.Test(lrow);
+  return ValueCmpPasses(c, lrow, rrow);
 }
 
 // ---------------------------------------------------------------------------
@@ -396,12 +297,10 @@ inline size_t MorselCount(size_t n, size_t morsel = kMorselRows) {
 // bytes they buffer against the execution's MemoryBudget; the
 // spill-capable ones (sort runs, hash build sides, δ) move buffered state
 // to disk when the budget is exceeded and still reproduce the serial
-// executor's exact row order (see ExternalValueSorter in engine/spill.h,
-// which also owns the shared spill geometry: kSpillPartitions,
-// kMinSpillRows, SpillPartition). Leaf relations and shared sub-DAGs
+// executor's exact row order (see engine/spill.h, which also owns the
+// shared spill geometry: kSpillPartitions, kMinSpillRows, kMergeFanIn,
+// SpillPartition). Leaf relations and shared sub-DAGs
 // materialize once and are re-streamed per consumer.
-
-constexpr size_t kStreamRows = 4096;
 
 int SchemaIndex(const std::vector<std::string>& schema,
                 const std::string& name) {
@@ -409,24 +308,6 @@ int SchemaIndex(const std::vector<std::string>& schema,
     if (schema[i] == name) return static_cast<int>(i);
   }
   return -1;
-}
-
-/// Tracked bytes of one batch. Lazy batches share physical columns wider
-/// than their row set; their charge is scaled to the selected share so a
-/// window over a large shared column does not bill the whole column per
-/// window.
-int64_t ApproxBatchBytes(const ColumnBatch& b) {
-  int64_t bytes = 64;  // struct + schema overhead floor
-  const size_t phys = b.PhysSize();
-  for (const ColumnRef& col : b.cols) {
-    int64_t cb = col->ApproxBytes();
-    if (b.sel && phys > 0) {
-      cb = cb * static_cast<int64_t>(b.num_rows) /
-           static_cast<int64_t>(phys);
-    }
-    bytes += cb;
-  }
-  return bytes;
 }
 
 ValueColumn ConstantColumn(const Value& v, size_t n) {
@@ -487,13 +368,6 @@ struct PipelineCtx {
         params(options.params) {
     const char* env = std::getenv("XQJG_DCHECK_BATCHES");
     dcheck_batches = env && *env && std::string(env) != "0";
-  }
-
-  void NoteSpill(int64_t bytes) {
-    if (stats) {
-      stats->spill_bytes += bytes;
-      stats->spill_events += 1;
-    }
   }
 
   void SyncPeak() {
@@ -645,6 +519,29 @@ void NormalizeDensity(ColumnBatch* b) {
   *b = std::move(dense);
 }
 
+/// The physical rows `sel` (increasing) of `in`, the way σ publishes its
+/// survivors: `in` itself when nothing was dropped, a lazy view over the
+/// shared columns while the selection keeps the density cutoff, else a
+/// compacted batch.
+ColumnBatch SelectRows(const ColumnBatch& in, std::vector<uint32_t> sel,
+                       const std::vector<std::string>& schema) {
+  ColumnBatch out;
+  if (sel.size() == in.num_rows) {
+    out = in;
+  } else if (in.cols.empty() || !KeepLazy(sel.size(), in.PhysSize())) {
+    // A zero-column batch has no physical row space to select into; its
+    // row count alone carries the result.
+    if (!in.cols.empty()) out = GatherPhysicalRows(in, sel);
+    out.num_rows = sel.size();
+  } else {
+    out.cols = in.cols;  // shared — deferred gather
+    out.num_rows = sel.size();
+    out.sel = std::make_shared<const std::vector<uint32_t>>(std::move(sel));
+  }
+  out.schema = schema;
+  return out;
+}
+
 /// One window of σ — the exact EvalSelect algorithm (late
 /// materialization, density cutoff, morsel fan-out) applied per batch.
 Result<ColumnBatch> FilterOneBatch(PipelineCtx* ctx, const Op* op,
@@ -655,10 +552,24 @@ Result<ColumnBatch> FilterOneBatch(PipelineCtx* ctx, const Op* op,
   std::vector<CompiledCmp> cmps;
   cmps.reserve(op->pred.conjuncts.size());
   for (const auto& cmp : op->pred.conjuncts) {
-    cmps.push_back(CompileCmp(cmp, in, ctx->params));
+    cmps.push_back(CompileCmp(cmp, in, ColumnBatch{}, ctx->params));
   }
   // Late materialization: the filter produces a selection vector over the
-  // shared physical columns — no gather.
+  // shared physical columns — no gather. Filters logical rows
+  // [begin, end) into *out.
+  auto filter = [&](size_t begin, size_t end, BudgetClock* clock,
+                    std::vector<uint32_t>* out) -> Status {
+    for (size_t row = begin; row < end; ++row) {
+      const size_t phys = in.PhysRow(row);
+      if (std::all_of(cmps.begin(), cmps.end(), [&](const CompiledCmp& c) {
+            return CmpPasses(c, phys, phys);
+          })) {
+        out->push_back(static_cast<uint32_t>(phys));
+      }
+      XQJG_RETURN_NOT_OK(clock->Tick());
+    }
+    return Status::OK();
+  };
   std::vector<uint32_t> sel;
   if (ctx->threads > 1 && in.num_rows >= kParallelRowCutoff) {
     // Morsel fan-out: each morsel filters its logical row range into a
@@ -671,24 +582,10 @@ Result<ColumnBatch> FilterOneBatch(PipelineCtx* ctx, const Op* op,
     parallel::WorkerPool::Instance().ParallelFor(
         ctx->threads, morsels, [&](size_t m, int) {
           BudgetClock wclock = budget.Worker();
-          std::vector<uint32_t>& part = parts[m];
-          const size_t end = std::min(n, (m + 1) * kMorselRows);
-          for (size_t row = m * kMorselRows; row < end; ++row) {
-            const size_t phys = in.PhysRow(row);
-            bool pass = true;
-            for (const CompiledCmp& c : cmps) {
-              if (!CmpPasses(c, phys)) {
-                pass = false;
-                break;
-              }
-            }
-            if (pass) part.push_back(static_cast<uint32_t>(phys));
-            Status st = wclock.Tick();
-            if (!st.ok()) {
-              budget.Abort(st);
-              return;
-            }
-          }
+          Status st = filter(m * kMorselRows,
+                             std::min(n, (m + 1) * kMorselRows), &wclock,
+                             &parts[m]);
+          if (!st.ok()) budget.Abort(st);
         });
     XQJG_RETURN_NOT_OK(budget.status());
     size_t total = 0;
@@ -698,40 +595,9 @@ Result<ColumnBatch> FilterOneBatch(PipelineCtx* ctx, const Op* op,
       sel.insert(sel.end(), part.begin(), part.end());
     }
   } else {
-    for (size_t row = 0; row < in.num_rows; ++row) {
-      const size_t phys = in.PhysRow(row);
-      bool pass = true;
-      for (const CompiledCmp& c : cmps) {
-        if (!CmpPasses(c, phys)) {
-          pass = false;
-          break;
-        }
-      }
-      if (pass) sel.push_back(static_cast<uint32_t>(phys));
-      XQJG_RETURN_NOT_OK(ctx->clock.Tick());
-    }
+    XQJG_RETURN_NOT_OK(filter(0, in.num_rows, &ctx->clock, &sel));
   }
-  // Nothing filtered: pass the window through (row set unchanged).
-  if (sel.size() == in.num_rows) {
-    ColumnBatch out = in;
-    out.schema = op->schema;
-    return out;
-  }
-  // A zero-column batch has no physical row space to select into; its
-  // row count alone carries the result.
-  if (in.cols.empty() || !KeepLazy(sel.size(), in.PhysSize())) {
-    ColumnBatch out =
-        in.cols.empty() ? ColumnBatch{} : GatherPhysicalRows(in, sel);
-    out.schema = op->schema;
-    out.num_rows = sel.size();
-    return out;
-  }
-  ColumnBatch out;
-  out.schema = op->schema;
-  out.cols = in.cols;  // shared — deferred gather
-  out.num_rows = sel.size();
-  out.sel = std::make_shared<const std::vector<uint32_t>>(std::move(sel));
-  return out;
+  return SelectRows(in, std::move(sel), op->schema);
 }
 
 class FilterStream final : public UnaryStream {
@@ -804,6 +670,23 @@ class AttachStream final : public UnaryStream {
   }
 };
 
+/// `in` plus an int64 column numbering its logical rows *next, *next+1, …
+/// (advancing *next). The numbers scatter to the physical slots, so the
+/// window's selection still applies — the # column, and the arrival
+/// sequence numbers that spilled rows carry.
+Result<ColumnBatch> WithRowNumbers(ColumnBatch in, int64_t* next,
+                                   BudgetClock* clock) {
+  NormalizeDensity(&in);
+  std::vector<int64_t> ids(in.PhysSize(), 0);
+  for (size_t i = 0; i < in.num_rows; ++i) {
+    ids[in.PhysRow(i)] = (*next)++;
+    XQJG_RETURN_NOT_OK(clock->Tick());
+  }
+  in.cols.push_back(
+      std::make_shared<const ValueColumn>(ValueColumn::Ints(std::move(ids))));
+  return in;
+}
+
 class RowIdStream final : public UnaryStream {
  public:
   RowIdStream(PipelineCtx* ctx, const Op* op,
@@ -815,26 +698,16 @@ class RowIdStream final : public UnaryStream {
     ColumnBatch in;
     XQJG_ASSIGN_OR_RETURN(bool more, child_->Next(&in));
     if (!more) return false;
-    NormalizeDensity(&in);
-    // Ids number LOGICAL rows across the whole stream (offset_ carries
-    // the count over window boundaries) and scatter to physical slots.
-    std::vector<int64_t> ids(in.PhysSize(), 0);
-    for (size_t i = 0; i < in.num_rows; ++i) {
-      ids[in.PhysRow(i)] = offset_ + static_cast<int64_t>(i) + 1;
-      XQJG_RETURN_NOT_OK(ctx_->clock.Tick());
-    }
-    offset_ += static_cast<int64_t>(in.num_rows);
+    // Ids number LOGICAL rows across the whole stream (next_ carries the
+    // count over window boundaries).
+    XQJG_ASSIGN_OR_RETURN(*out, WithRowNumbers(std::move(in), &next_,
+                                               &ctx_->clock));
     out->schema = op_->schema;
-    out->num_rows = in.num_rows;
-    out->sel = in.sel;
-    out->cols = in.cols;  // shared
-    out->cols.push_back(std::make_shared<const ValueColumn>(
-        ValueColumn::Ints(std::move(ids))));
     return true;
   }
 
  private:
-  int64_t offset_ = 0;
+  int64_t next_ = 1;
 };
 
 /// Drains a stream into one dense batch — the shape the non-streaming
@@ -959,198 +832,73 @@ class RankStream final : public UnaryStream {
   size_t pos_ = 0;
 };
 
-/// Constructs the shared external-merge sorter (engine/spill.h) wired to
-/// this execution's clock, governor, and stats sink.
-std::unique_ptr<ExternalValueSorter> MakeSorter(PipelineCtx* ctx,
-                                                size_t arity,
-                                                std::vector<int> keys) {
-  return std::make_unique<ExternalValueSorter>(&ctx->clock, &ctx->budget,
-                                               ctx->stats, arity,
-                                               std::move(keys));
-}
-
-/// Builds a dense output window from boxed sorter rows, dropping `skip`
-/// leading bookkeeping columns (order-restoration sequence numbers).
-Result<bool> SorterWindow(ExternalValueSorter* sorter, size_t skip,
-                          const std::vector<std::string>& schema,
-                          ColumnBatch* out) {
-  std::vector<ValueColumn> cols(schema.size());
-  std::vector<Value> row;
-  size_t n = 0;
-  while (n < kStreamRows) {
-    XQJG_ASSIGN_OR_RETURN(bool more, sorter->Next(&row));
-    if (!more) break;
-    for (size_t c = 0; c < cols.size(); ++c) cols[c].Append(row[c + skip]);
-    ++n;
-  }
-  if (n == 0) return false;
-  out->schema = schema;
-  out->num_rows = n;
-  for (ValueColumn& c : cols) {
-    out->cols.push_back(std::make_shared<const ValueColumn>(std::move(c)));
-  }
-  return true;
-}
-
-/// The serialize sort — the root pipeline breaker. Prime() consumes the
-/// child, retaining batches in memory (charged) or, once the governor
-/// says spill, re-routing every buffered and future row through an
-/// ExternalValueSorter keyed on (order columns…, item) — (pos, item) for
-/// compiled plans, (ORDER BY terms…, item) for join graphs. The sort is
-/// stable, so rows equal on every key keep their arrival order. Either
-/// way the result cardinality is known when Prime() returns and emission
-/// is pure on-demand work: window gathers from the sorted permutation, or
-/// run merging from disk.
+/// The serialize sort — the root pipeline breaker. Prime() feeds the whole
+/// child to an ExternalSorter keyed on (order columns…, item) — (pos,
+/// item) for compiled plans, (ORDER BY terms…, item) for join graphs. The
+/// sort is stable, so rows equal on every key keep their arrival order.
+/// The result cardinality is known when Prime() returns, and emission is
+/// on-demand work: window gathers from the sorted permutation, or the run
+/// merge from disk once the governor made the sorter spill.
 class SerializeStream final : public UnaryStream {
  public:
   SerializeStream(PipelineCtx* ctx, const Op* op,
                   std::unique_ptr<BatchStream> child)
-      : UnaryStream(ctx, "serialize", op, std::move(child)),
-        charge_(&ctx->budget) {}
+      : UnaryStream(ctx, "serialize", op, std::move(child)) {}
 
   Status Prime() override {
-    if (primed_) return Status::OK();
-    primed_ = true;
+    if (sorter_) return Status::OK();
     XQJG_RETURN_NOT_OK(child_->Prime());
     const std::vector<std::string>& in_schema = op_->children[0]->schema;
-    arity_ = in_schema.size();
+    std::vector<int> keys;
     for (const std::string& name : op_->order) {
-      keys_.push_back(SchemaIndex(in_schema, name));
+      keys.push_back(SchemaIndex(in_schema, name));
     }
     const int item_idx = SchemaIndex(in_schema, op_->col);
-    if (keys_.empty() || keys_.back() != item_idx) keys_.push_back(item_idx);
-    if (std::find(keys_.begin(), keys_.end(), -1) != keys_.end()) {
+    if (keys.empty() || keys.back() != item_idx) keys.push_back(item_idx);
+    if (std::find(keys.begin(), keys.end(), -1) != keys.end()) {
       return Status::Internal("serialize columns missing");
     }
+    sorter_ = std::make_unique<ExternalSorter>(&ctx_->clock, &ctx_->budget,
+                                               ctx_->stats, std::move(keys));
     for (;;) {
       ColumnBatch in;
       XQJG_ASSIGN_OR_RETURN(bool more, child_->Next(&in));
       if (!more) break;
-      if (in.num_rows == 0) continue;
-      if (sorter_) {
-        XQJG_RETURN_NOT_OK(AddToSorter(in));
-        continue;
-      }
-      buffered_rows_ += in.num_rows;
-      if (buffered_rows_ > kMaxBatchRows) {
-        return Status::Internal("serialize input exceeds batch row limit");
-      }
-      charge_.Add(ApproxBatchBytes(in));
-      bufs_.push_back(std::make_shared<const ColumnBatch>(std::move(in)));
-      if (ctx_->budget.ShouldSpill() && buffered_rows_ >= kMinSpillRows) {
-        XQJG_RETURN_NOT_OK(StartSpill());
-      }
+      XQJG_RETURN_NOT_OK(sorter_->Add(std::move(in)));
     }
-    if (sorter_) {
-      XQJG_RETURN_NOT_OK(sorter_->Finish());
-      total_rows_ = sorter_->total_rows();
-      return Status::OK();
-    }
-    // In-memory: sort a (batch, row) permutation. The initial permutation
-    // is arrival order — exactly the serial executor's input row order —
-    // so the stable sort reproduces its tie-breaks.
-    perm_.reserve(buffered_rows_);
-    for (size_t bi = 0; bi < bufs_.size(); ++bi) {
-      // bounded by the already-charged buffered_rows_, and the
-      // stable_sort just below ticks per comparison
-      // xqjg-lint: allow(no-budget-guard)
-      for (size_t r = 0; r < bufs_[bi]->num_rows; ++r) {
-        perm_.push_back(
-            RowRef{static_cast<uint32_t>(bi), static_cast<uint32_t>(r)});
-      }
-    }
-    try {
-      std::stable_sort(perm_.begin(), perm_.end(),
-                       [&](const RowRef& a, const RowRef& b) {
-                         ctx_->clock.TickThrow();
-                         return RefLess(a, b);
-                       });
-    } catch (const BudgetExhausted&) {
-      return Status::Timeout("execution exceeded wall-clock budget (DNF)");
-    }
-    total_rows_ = static_cast<int64_t>(perm_.size());
-    return Status::OK();
+    return sorter_->Finish();
   }
 
-  int64_t total_rows() const override { return total_rows_; }
+  int64_t total_rows() const override { return sorter_->total_rows(); }
 
  protected:
   Result<bool> NextImpl(ColumnBatch* out) override {
-    if (sorter_) return SorterWindow(sorter_.get(), 0, op_->schema, out);
-    if (next_ >= perm_.size()) return false;
-    const size_t end = std::min(perm_.size(), next_ + kStreamRows);
-    std::vector<ValueColumn> cols(arity_);
-    // Window gather in sort order; rows were admitted during Prime.
-    // xqjg-lint: allow(no-budget-guard)
-    for (size_t i = next_; i < end; ++i) {
-      const RowRef& ref = perm_[i];
-      const ColumnBatch& b = *bufs_[ref.batch];
-      const size_t p = b.PhysRow(ref.row);
-      for (size_t c = 0; c < arity_; ++c) {
-        cols[c].AppendFrom(*b.cols[c], p);
-      }
-    }
+    XQJG_ASSIGN_OR_RETURN(bool more, sorter_->Next(out));
     out->schema = op_->schema;
-    out->num_rows = end - next_;
-    for (ValueColumn& c : cols) {
-      out->cols.push_back(std::make_shared<const ValueColumn>(std::move(c)));
-    }
-    next_ = end;
-    return true;
+    return more;
   }
 
  private:
-  struct RowRef {
-    uint32_t batch;
-    uint32_t row;  ///< logical row within the batch
-  };
-
-  bool RefLess(const RowRef& a, const RowRef& b) const {
-    const ColumnBatch& ba = *bufs_[a.batch];
-    const ColumnBatch& bb = *bufs_[b.batch];
-    const size_t pa = ba.PhysRow(a.row);
-    const size_t pb = bb.PhysRow(b.row);
-    for (int k : keys_) {
-      const ValueColumn& ka = *ba.cols[static_cast<size_t>(k)];
-      const ValueColumn& kb = *bb.cols[static_cast<size_t>(k)];
-      if (ValueColumn::SortLessAt(ka, pa, kb, pb)) return true;
-      if (ValueColumn::SortLessAt(kb, pb, ka, pa)) return false;
-    }
-    return false;
-  }
-
-  Status AddToSorter(const ColumnBatch& in) {
-    std::vector<Value> row(arity_);
-    for (size_t r = 0; r < in.num_rows; ++r) {
-      const size_t p = in.PhysRow(r);
-      for (size_t c = 0; c < arity_; ++c) row[c] = in.cols[c]->GetValue(p);
-      XQJG_RETURN_NOT_OK(sorter_->Add(row));
-      XQJG_RETURN_NOT_OK(ctx_->clock.Tick());
-    }
-    return Status::OK();
-  }
-
-  /// Hands the retained buffer to the external sorter (in arrival order,
-  /// preserving the stable tie-break) and releases its charge.
-  Status StartSpill() {
-    sorter_ = MakeSorter(ctx_, arity_, keys_);
-    for (const auto& b : bufs_) XQJG_RETURN_NOT_OK(AddToSorter(*b));
-    bufs_.clear();
-    charge_.Reset();
-    return Status::OK();
-  }
-
-  MemoryCharge charge_;
-  bool primed_ = false;
-  size_t arity_ = 0;
-  std::vector<int> keys_;  ///< sort key columns, item last
-  size_t buffered_rows_ = 0;
-  std::vector<std::shared_ptr<const ColumnBatch>> bufs_;
-  std::vector<RowRef> perm_;
-  size_t next_ = 0;
-  std::unique_ptr<ExternalValueSorter> sorter_;
-  int64_t total_rows_ = 0;
+  std::unique_ptr<ExternalSorter> sorter_;
 };
+
+/// Rows of `in` plus its arrival sequence column, routed to their key
+/// hash partitions. Rows with a NULL key are dropped when `drop_null_keys`
+/// (a NULL join key never matches).
+Status SpillToPartitions(const ColumnBatch& in, const std::vector<int>& keys,
+                         bool drop_null_keys, int64_t* seq,
+                         SpillPartitionSet* parts, BudgetClock* clock) {
+  XQJG_ASSIGN_OR_RETURN(ColumnBatch b, WithRowNumbers(in, seq, clock));
+  std::vector<uint8_t> part(b.num_rows);
+  for (size_t r = 0; r < b.num_rows; ++r) {
+    const size_t p = b.PhysRow(r);
+    part[r] = drop_null_keys && AnyKeyNull(b, keys, p)
+                  ? kSpillPartitions
+                  : SpillPartition(HashKeysAt(b, keys, p));
+    XQJG_RETURN_NOT_OK(clock->Tick());
+  }
+  return parts->Append(b, part);
+}
 
 /// Join (hash, residual-only, or cross). The build side (right child) is
 /// the breaker: Prime() consumes it into retained batches plus a bucket
@@ -1159,12 +907,13 @@ class SerializeStream final : public UnaryStream {
 /// arrival order, then bucket insertion order).
 ///
 /// When the governor trips during a hashable build, the join goes Grace:
-/// both sides hash-partition to disk (rows carry their arrival sequence
-/// numbers), partitions join one at a time, and the matches pass through
-/// an ExternalValueSorter keyed (probe seq, build seq) — restoring exactly
-/// the order the in-memory probe would have emitted. Cross and
-/// residual-only joins keep their build resident (tracked, not
-/// spillable): they have no keys to partition on.
+/// both sides hash-partition to disk with their arrival sequence numbers
+/// as an extra column, and each partition pair runs the in-memory build
+/// and probe. The matches carry both sequence numbers into an
+/// ExternalSorter keyed (probe seq, build seq) — restoring exactly the
+/// order the in-memory probe would have emitted. Cross and residual-only
+/// joins keep their build resident (tracked, not spillable): they have no
+/// keys to partition on.
 class HashJoinStream final : public BatchStream {
  public:
   HashJoinStream(PipelineCtx* ctx, const Op* op,
@@ -1205,42 +954,45 @@ class HashJoinStream final : public BatchStream {
         residual_.push_back(cmp);
       }
     }
-    // Build: consume the right child. NULL keys are skipped — NULL never
-    // equals NULL in a join predicate.
+    // Build: consume the right child.
     for (;;) {
       ColumnBatch in;
       XQJG_ASSIGN_OR_RETURN(bool more, right_->Next(&in));
       if (!more) break;
       if (in.num_rows == 0) continue;
-      if (spilling_) {
-        XQJG_RETURN_NOT_OK(SpillBuildBatch(in));
+      if (build_parts_) {
+        XQJG_RETURN_NOT_OK(SpillToPartitions(in, rkeys_, true, &bseq_,
+                                             build_parts_.get(),
+                                             &ctx_->clock));
         continue;
       }
-      const uint32_t bi = static_cast<uint32_t>(build_bufs_.size());
       charge_.Add(ApproxBatchBytes(in));
       build_bufs_.push_back(std::make_shared<const ColumnBatch>(std::move(in)));
-      const ColumnBatch& b = *build_bufs_.back();
-      build_rows_ += b.num_rows;
+      build_rows_ += build_bufs_.back()->num_rows;
       if (!lkeys_.empty()) {
-        for (size_t j = 0; j < b.num_rows; ++j) {
-          const size_t jp = b.PhysRow(j);
-          if (AnyKeyNull(b, rkeys_, jp)) continue;
-          buckets_[HashKeysAt(b, rkeys_, jp)].push_back(
-              BuildRef{bi, static_cast<uint32_t>(jp)});
-          XQJG_RETURN_NOT_OK(ctx_->clock.Tick());
-        }
+        XQJG_RETURN_NOT_OK(InsertBuild(build_bufs_.size() - 1));
         if (ctx_->budget.ShouldSpill() && build_rows_ >= kMinSpillRows) {
           XQJG_RETURN_NOT_OK(StartBuildSpill());
         }
       }
     }
-    if (spilling_) return SpillProbeAndJoin();
+    if (build_parts_) return JoinPartitions();
     return Status::OK();
   }
 
  protected:
   Result<bool> NextImpl(ColumnBatch* out) override {
-    if (sorter_) return SorterWindow(sorter_.get(), 2, op_->schema, out);
+    if (sorter_) {
+      XQJG_ASSIGN_OR_RETURN(bool more, sorter_->Next(out));
+      if (more) {
+        // Drop the sequence columns: (left…, pseq, right…, bseq).
+        out->cols.erase(out->cols.begin() +
+                        static_cast<ptrdiff_t>(lw_ + 1 + rw_));
+        out->cols.erase(out->cols.begin() + static_cast<ptrdiff_t>(lw_));
+        out->schema = op_->schema;
+      }
+      return more;
+    }
     for (;;) {
       ColumnBatch in;
       XQJG_ASSIGN_OR_RETURN(bool more, left_->Next(&in));
@@ -1253,7 +1005,10 @@ class HashJoinStream final : public BatchStream {
         return false;
       }
       XQJG_ASSIGN_OR_RETURN(bool emitted, ProbeBatch(in, out));
-      if (emitted) return true;
+      if (emitted) {
+        out->schema = op_->schema;
+        return true;
+      }
       // A matchless probe window yields nothing; keep pulling.
     }
   }
@@ -1264,13 +1019,28 @@ class HashJoinStream final : public BatchStream {
     uint32_t phys;
   };
 
+  /// Adds build_bufs_[bi]'s rows to the buckets in arrival order. NULL
+  /// keys are skipped — NULL never equals NULL in a join predicate.
+  Status InsertBuild(size_t bi) {
+    const ColumnBatch& b = *build_bufs_[bi];
+    for (size_t j = 0; j < b.num_rows; ++j) {
+      const size_t jp = b.PhysRow(j);
+      if (AnyKeyNull(b, rkeys_, jp)) continue;
+      buckets_[HashKeysAt(b, rkeys_, jp)].push_back(
+          BuildRef{static_cast<uint32_t>(bi), static_cast<uint32_t>(jp)});
+      XQJG_RETURN_NOT_OK(ctx_->clock.Tick());
+    }
+    return Status::OK();
+  }
+
   /// Grace handover: re-route every retained build row to its hash
   /// partition on disk, then drop the in-memory build state.
   Status StartBuildSpill() {
-    spilling_ = true;
-    build_parts_.resize(kSpillPartitions);
+    build_parts_ =
+        std::make_unique<SpillPartitionSet>(&ctx_->clock, ctx_->stats);
     for (const auto& b : build_bufs_) {
-      XQJG_RETURN_NOT_OK(SpillBuildBatch(*b));
+      XQJG_RETURN_NOT_OK(SpillToPartitions(*b, rkeys_, true, &bseq_,
+                                           build_parts_.get(), &ctx_->clock));
     }
     build_bufs_.clear();
     buckets_.clear();
@@ -1278,159 +1048,55 @@ class HashJoinStream final : public BatchStream {
     return Status::OK();
   }
 
-  Status SpillBuildBatch(const ColumnBatch& in) {
-    std::vector<Value> row(rw_ + 1);
-    for (size_t j = 0; j < in.num_rows; ++j) {
-      const size_t jp = in.PhysRow(j);
-      const int64_t seq = bseq_++;
-      if (AnyKeyNull(in, rkeys_, jp)) continue;
-      row[0] = Value::Int(seq);
-      for (size_t c = 0; c < rw_; ++c) row[c + 1] = in.cols[c]->GetValue(jp);
-      const size_t part = SpillPartition(HashKeysAt(in, rkeys_, jp));
-      XQJG_RETURN_NOT_OK(
-          SpillAppendRow(&build_parts_[part], row.data(), rw_ + 1));
-      XQJG_RETURN_NOT_OK(ctx_->clock.Tick());
-    }
-    return NoteParts(&build_parts_, &build_spill_reported_);
-  }
-
-  Status NoteParts(std::vector<SpillFile>* parts, int64_t* reported) {
-    int64_t total = 0;
-    for (const SpillFile& f : *parts) total += f.bytes_written();
-    if (total > *reported) {
-      ctx_->NoteSpill(total - *reported);
-      *reported = total;
-    }
-    return Status::OK();
-  }
-
-  /// Spilled-probe phase: partition the whole probe stream, join the
-  /// partitions one at a time, and restore the serial emission order via
-  /// the (probe seq, build seq) sort.
-  Status SpillProbeAndJoin() {
-    probe_parts_.resize(kSpillPartitions);
-    std::vector<Value> row(lw_ + 1);
+  /// Partitions the whole probe stream, then runs the in-memory build and
+  /// probe on each partition pair. The spilled batches carry their
+  /// sequence column after the child's columns; their schema names only
+  /// the child's columns, which keep their positions.
+  Status JoinPartitions() {
+    SpillPartitionSet probe_parts(&ctx_->clock, ctx_->stats);
     int64_t pseq = 0;
     for (;;) {
       ColumnBatch in;
       XQJG_ASSIGN_OR_RETURN(bool more, left_->Next(&in));
       if (!more) break;
-      for (size_t l = 0; l < in.num_rows; ++l) {
-        const size_t lp = in.PhysRow(l);
-        const int64_t seq = pseq++;
-        if (AnyKeyNull(in, lkeys_, lp)) continue;
-        row[0] = Value::Int(seq);
-        for (size_t c = 0; c < lw_; ++c) {
-          row[c + 1] = in.cols[c]->GetValue(lp);
-        }
-        const size_t part = SpillPartition(HashKeysAt(in, lkeys_, lp));
-        XQJG_RETURN_NOT_OK(
-            SpillAppendRow(&probe_parts_[part], row.data(), lw_ + 1));
-        XQJG_RETURN_NOT_OK(ctx_->clock.Tick());
-      }
-      XQJG_RETURN_NOT_OK(NoteParts(&probe_parts_, &probe_spill_reported_));
+      XQJG_RETURN_NOT_OK(SpillToPartitions(in, lkeys_, true, &pseq,
+                                           &probe_parts, &ctx_->clock));
     }
-    sorter_ = MakeSorter(ctx_, 2 + lw_ + rw_, {0, 1});
+    sorter_ = std::make_unique<ExternalSorter>(
+        &ctx_->clock, &ctx_->budget, ctx_->stats,
+        std::vector<int>{static_cast<int>(lw_), static_cast<int>(lw_ + 1 + rw_)});
     for (size_t p = 0; p < kSpillPartitions; ++p) {
-      XQJG_RETURN_NOT_OK(JoinPartition(p));
-    }
-    build_parts_.clear();
-    probe_parts_.clear();
-    return sorter_->Finish();
-  }
-
-  Status JoinPartition(size_t p) {
-    SpillFile& bf = build_parts_[p];
-    SpillFile& pf = probe_parts_[p];
-    if (bf.rows() == 0 || pf.rows() == 0) return Status::OK();
-    XQJG_RETURN_NOT_OK(bf.Rewind());
-    XQJG_RETURN_NOT_OK(pf.Rewind());
-    // Rebuild the partition's build side as one batch (charged while the
-    // partition is live); file order is build arrival order, so the
-    // buckets keep the serial insertion order.
-    std::vector<Value> row(std::max(lw_, rw_) + 1);
-    std::vector<ValueColumn> bcols(rw_);
-    std::vector<int64_t> bseqs;
-    for (;;) {
-      XQJG_ASSIGN_OR_RETURN(bool more,
-                            SpillReadRow(&bf, row.data(), rw_ + 1));
-      if (!more) break;
-      bseqs.push_back(row[0].AsInt());
-      for (size_t c = 0; c < rw_; ++c) bcols[c].Append(row[c + 1]);
-      XQJG_RETURN_NOT_OK(ctx_->clock.Tick());
-    }
-    ColumnBatch build;
-    build.schema = op_->children[1]->schema;
-    build.num_rows = bseqs.size();
-    for (ValueColumn& c : bcols) {
-      build.cols.push_back(std::make_shared<const ValueColumn>(std::move(c)));
-    }
-    MemoryCharge charge(&ctx_->budget);
-    charge.Add(ApproxBatchBytes(build));
-    std::unordered_map<size_t, std::vector<uint32_t>> buckets;
-    buckets.reserve(build.num_rows * 2);
-    for (size_t j = 0; j < build.num_rows; ++j) {
-      buckets[HashKeysAt(build, rkeys_, j)].push_back(
-          static_cast<uint32_t>(j));
-      XQJG_RETURN_NOT_OK(ctx_->clock.Tick());
-    }
-    // Stream the partition's probe rows in chunks.
-    std::vector<Value> out_row(2 + lw_ + rw_);
-    for (;;) {
-      std::vector<ValueColumn> pcols(lw_);
-      std::vector<int64_t> pseqs;
-      for (size_t n = 0; n < kStreamRows; ++n) {
-        XQJG_ASSIGN_OR_RETURN(bool more,
-                              SpillReadRow(&pf, row.data(), lw_ + 1));
+      if (build_parts_->rows(p) == 0 || probe_parts.rows(p) == 0) continue;
+      build_bufs_.clear();
+      buckets_.clear();
+      int64_t bytes = 0;
+      for (size_t next = 0;;) {
+        ColumnBatch build;
+        XQJG_ASSIGN_OR_RETURN(bool more, build_parts_->Read(p, &next, &build));
         if (!more) break;
-        pseqs.push_back(row[0].AsInt());
-        for (size_t c = 0; c < lw_; ++c) pcols[c].Append(row[c + 1]);
-        XQJG_RETURN_NOT_OK(ctx_->clock.Tick());
+        build.schema = op_->children[1]->schema;
+        bytes += ApproxBatchBytes(build);
+        build_bufs_.push_back(
+            std::make_shared<const ColumnBatch>(std::move(build)));
+        XQJG_RETURN_NOT_OK(InsertBuild(build_bufs_.size() - 1));
       }
-      if (pseqs.empty()) break;
-      ColumnBatch probe;
-      probe.schema = op_->children[0]->schema;
-      probe.num_rows = pseqs.size();
-      for (ValueColumn& c : pcols) {
-        probe.cols.push_back(
-            std::make_shared<const ValueColumn>(std::move(c)));
-      }
-      std::vector<CompiledJoinCmp> res;
-      res.reserve(residual_.size());
-      for (const auto& cmp : residual_) {
-        res.push_back(CompileJoinCmp(cmp, probe, build, ctx_->params));
-      }
-      for (size_t l = 0; l < probe.num_rows; ++l) {
-        XQJG_RETURN_NOT_OK(ctx_->clock.Tick());
-        auto it = buckets.find(HashKeysAt(probe, lkeys_, l));
-        if (it == buckets.end()) continue;
-        for (uint32_t j : it->second) {
-          if (!KeysEqual(probe, lkeys_, l, build, rkeys_, j)) continue;
-          bool pass = true;
-          for (const CompiledJoinCmp& c : res) {
-            if (!JoinCmpPasses(c, l, j)) {
-              pass = false;
-              break;
-            }
-          }
-          if (!pass) continue;
-          out_row[0] = Value::Int(pseqs[l]);
-          out_row[1] = Value::Int(bseqs[j]);
-          for (size_t c = 0; c < lw_; ++c) {
-            out_row[2 + c] = probe.cols[c]->GetValue(l);
-          }
-          for (size_t c = 0; c < rw_; ++c) {
-            out_row[2 + lw_ + c] = build.cols[c]->GetValue(j);
-          }
-          XQJG_RETURN_NOT_OK(sorter_->Add(out_row));
-          XQJG_RETURN_NOT_OK(
-              ctx_->clock.TickRows(rows_out_ + sorter_->total_rows()));
-        }
+      charge_.Set(bytes);
+      for (size_t next = 0;;) {
+        ColumnBatch probe, out;
+        XQJG_ASSIGN_OR_RETURN(bool more, probe_parts.Read(p, &next, &probe));
+        if (!more) break;
+        probe.schema = op_->children[0]->schema;
+        XQJG_ASSIGN_OR_RETURN(bool emitted, ProbeBatch(probe, &out));
+        if (!emitted) continue;
+        XQJG_RETURN_NOT_OK(sorter_->Add(std::move(out)));
+        XQJG_RETURN_NOT_OK(ctx_->clock.TickRows(sorter_->total_rows()));
       }
     }
-    bf.Close();
-    pf.Close();
-    return Status::OK();
+    build_parts_.reset();
+    build_bufs_.clear();
+    buckets_.clear();
+    charge_.Reset();
+    return sorter_->Finish();
   }
 
   /// In-memory probe of one left window against the retained build side.
@@ -1439,21 +1105,46 @@ class HashJoinStream final : public BatchStream {
       return Status::Internal("join input exceeds batch row limit");
     }
     // Residual comparisons bind per (probe window, build batch) pair.
-    std::vector<std::vector<CompiledJoinCmp>> res(build_bufs_.size());
+    std::vector<std::vector<CompiledCmp>> res(build_bufs_.size());
     for (size_t bi = 0; bi < build_bufs_.size(); ++bi) {
       res[bi].reserve(residual_.size());
       for (const auto& cmp : residual_) {
         res[bi].push_back(
-            CompileJoinCmp(cmp, left, *build_bufs_[bi], ctx_->params));
+            CompileCmp(cmp, left, *build_bufs_[bi], ctx_->params));
       }
     }
     std::vector<uint32_t> lidx;
-    std::vector<BuildRef> rrefs;
+    RowRefs rrefs;  // the build side of each match
     auto match = [&](size_t lp, const BuildRef& ref) -> bool {
-      for (const CompiledJoinCmp& c : res[ref.batch]) {
-        if (!JoinCmpPasses(c, lp, ref.phys)) return false;
+      for (const CompiledCmp& c : res[ref.batch]) {
+        if (!CmpPasses(c, lp, ref.phys)) return false;
       }
       return true;
+    };
+    // Probes left rows [begin, end) into (ld, rd); the clock's row budget
+    // counts `base` rows produced before these.
+    auto probe = [&](size_t begin, size_t end, BudgetClock* clock,
+                     int64_t base, std::vector<uint32_t>* ld,
+                     RowRefs* rd) -> Status {
+      for (size_t l = begin; l < end; ++l) {
+        XQJG_RETURN_NOT_OK(clock->Tick());
+        const size_t lp = left.PhysRow(l);
+        if (AnyKeyNull(left, lkeys_, lp)) continue;
+        auto it = buckets_.find(HashKeysAt(left, lkeys_, lp));
+        if (it == buckets_.end()) continue;
+        for (const BuildRef& ref : it->second) {
+          if (!KeysEqual(left, lkeys_, lp, *build_bufs_[ref.batch], rkeys_,
+                         ref.phys) ||
+              !match(lp, ref)) {
+            continue;
+          }
+          ld->push_back(static_cast<uint32_t>(lp));
+          rd->emplace_back(build_bufs_[ref.batch].get(), ref.phys);
+          XQJG_RETURN_NOT_OK(
+              clock->TickRows(base + static_cast<int64_t>(ld->size())));
+        }
+      }
+      return Status::OK();
     };
     if (!lkeys_.empty()) {
       const size_t ln = left.num_rows;
@@ -1462,38 +1153,18 @@ class HashJoinStream final : public BatchStream {
         // into private pair slices, concatenated in morsel order.
         const size_t morsels = MorselCount(ln);
         std::vector<std::vector<uint32_t>> lparts(morsels);
-        std::vector<std::vector<BuildRef>> rparts(morsels);
+        std::vector<RowRefs> rparts(morsels);
         RegionBudget budget(ctx_->clock);
         parallel::WorkerPool::Instance().ParallelFor(
             ctx_->threads, morsels, [&](size_t m, int) {
               BudgetClock wclock = budget.Worker();
-              std::vector<uint32_t>& ld = lparts[m];
-              std::vector<BuildRef>& rd = rparts[m];
-              auto run = [&]() -> Status {
-                const size_t end = std::min(ln, (m + 1) * kMorselRows);
-                for (size_t l = m * kMorselRows; l < end; ++l) {
-                  XQJG_RETURN_NOT_OK(wclock.Tick());
-                  const size_t lp = left.PhysRow(l);
-                  if (AnyKeyNull(left, lkeys_, lp)) continue;
-                  auto it = buckets_.find(HashKeysAt(left, lkeys_, lp));
-                  if (it == buckets_.end()) continue;
-                  for (const BuildRef& ref : it->second) {
-                    const ColumnBatch& rb = *build_bufs_[ref.batch];
-                    if (!KeysEqual(left, lkeys_, lp, rb, rkeys_,
-                                   ref.phys)) {
-                      continue;
-                    }
-                    if (!match(lp, ref)) continue;
-                    ld.push_back(static_cast<uint32_t>(lp));
-                    rd.push_back(ref);
-                    XQJG_RETURN_NOT_OK(
-                        wclock.TickRows(static_cast<int64_t>(ld.size())));
-                  }
-                }
-                return wclock.FinishLocalRows(
-                    static_cast<int64_t>(ld.size()));
-              };
-              Status st = run();
+              Status st = probe(m * kMorselRows,
+                                std::min(ln, (m + 1) * kMorselRows), &wclock,
+                                0, &lparts[m], &rparts[m]);
+              if (st.ok()) {
+                st = wclock.FinishLocalRows(
+                    static_cast<int64_t>(lparts[m].size()));
+              }
               if (!st.ok()) budget.Abort(st);
             });
         XQJG_RETURN_NOT_OK(budget.status());
@@ -1506,24 +1177,8 @@ class HashJoinStream final : public BatchStream {
           rrefs.insert(rrefs.end(), rparts[m].begin(), rparts[m].end());
         }
       } else {
-        for (size_t l = 0; l < ln; ++l) {
-          XQJG_RETURN_NOT_OK(ctx_->clock.Tick());
-          const size_t lp = left.PhysRow(l);
-          if (AnyKeyNull(left, lkeys_, lp)) continue;
-          auto it = buckets_.find(HashKeysAt(left, lkeys_, lp));
-          if (it == buckets_.end()) continue;
-          for (const BuildRef& ref : it->second) {
-            const ColumnBatch& rb = *build_bufs_[ref.batch];
-            if (!KeysEqual(left, lkeys_, lp, rb, rkeys_, ref.phys)) {
-              continue;
-            }
-            if (!match(lp, ref)) continue;
-            lidx.push_back(static_cast<uint32_t>(lp));
-            rrefs.push_back(ref);
-            XQJG_RETURN_NOT_OK(ctx_->clock.TickRows(
-                rows_out_ + static_cast<int64_t>(lidx.size())));
-          }
-        }
+        XQJG_RETURN_NOT_OK(
+            probe(0, ln, &ctx_->clock, rows_out_, &lidx, &rrefs));
       }
     } else {
       // Cross / residual-only: nested loop over the retained build
@@ -1538,7 +1193,7 @@ class HashJoinStream final : public BatchStream {
                                static_cast<uint32_t>(rb.PhysRow(j))};
             if (!match(lp, ref)) continue;
             lidx.push_back(static_cast<uint32_t>(lp));
-            rrefs.push_back(ref);
+            rrefs.emplace_back(&rb, ref.phys);
             XQJG_RETURN_NOT_OK(ctx_->clock.TickRows(
                 rows_out_ + static_cast<int64_t>(lidx.size())));
           }
@@ -1549,25 +1204,22 @@ class HashJoinStream final : public BatchStream {
     if (lidx.size() > kMaxBatchRows) {
       return Status::Internal("join output exceeds batch row limit");
     }
-    out->schema = op_->schema;
+    // Output columns are left ++ build (a spilled partition's batches
+    // include their sequence columns); the caller names them.
     out->num_rows = lidx.size();
-    const size_t ncols = lw_ + rw_;
+    const size_t lw = left.cols.size();
+    const size_t ncols = lw + build_bufs_.front()->cols.size();
     out->cols.resize(ncols);
     // Each gather writes its own pre-sized slot, so columns materialize
     // independently. Pairs were admitted above.
-    // xqjg-lint: allow(no-budget-guard)
     auto build_col = [&](size_t c) {
-      if (c < lw_) {
+      if (c < lw) {
         out->cols[c] =
             std::make_shared<const ValueColumn>(left.cols[c]->Gather(lidx));
         return;
       }
-      ValueColumn col;
-      col.Reserve(rrefs.size());
-      for (const BuildRef& ref : rrefs) {
-        col.AppendFrom(*build_bufs_[ref.batch]->cols[c - lw_], ref.phys);
-      }
-      out->cols[c] = std::make_shared<const ValueColumn>(std::move(col));
+      out->cols[c] =
+          std::make_shared<const ValueColumn>(GatherColumn(rrefs, c - lw));
     };
     if (ctx_->threads > 1 && ncols > 1 &&
         lidx.size() >= kParallelRowCutoff) {
@@ -1588,29 +1240,23 @@ class HashJoinStream final : public BatchStream {
   size_t rw_ = 0;
   std::vector<int> lkeys_, rkeys_;
   std::vector<Comparison> residual_;
-  // In-memory build state.
+  // Build state: the whole build side, or one partition's.
   std::vector<std::shared_ptr<const ColumnBatch>> build_bufs_;
   std::unordered_map<size_t, std::vector<BuildRef>> buckets_;
   size_t build_rows_ = 0;
   // Grace state.
-  bool spilling_ = false;
-  std::vector<SpillFile> build_parts_;
-  std::vector<SpillFile> probe_parts_;
+  std::unique_ptr<SpillPartitionSet> build_parts_;
   int64_t bseq_ = 0;
-  int64_t build_spill_reported_ = 0;
-  int64_t probe_spill_reported_ = 0;
-  std::unique_ptr<ExternalValueSorter> sorter_;
+  std::unique_ptr<ExternalSorter> sorter_;
 };
 
-/// δ — duplicate elimination. A breaker: survivors cannot be declared
-/// final until every row has been seen... they can, actually (a first
-/// occurrence survives no matter what follows), but the old executor
-/// emitted them against the whole input and the differential contract
-/// pins that shape, so Prime() consumes the child. In memory the input
-/// batches are retained (charged) and deduped with cross-batch bucket
-/// probes; under pressure the rows hash-partition to disk, each partition
-/// dedups independently, and survivors merge back in first-occurrence
-/// order by their arrival sequence number.
+/// δ — duplicate elimination, a breaker: Prime() consumes the child. In
+/// memory the input batches are retained (charged) and deduped with
+/// cross-batch bucket probes; each batch then emits its first occurrences
+/// the way σ emits survivors. Under pressure the rows hash-partition to
+/// disk with their arrival sequence numbers, each partition runs the same
+/// dedup, and an ExternalSorter keyed on the sequence number merges the
+/// survivors back into first-occurrence order.
 class DistinctStream final : public UnaryStream {
  public:
   DistinctStream(PipelineCtx* ctx, const Op* op,
@@ -1630,8 +1276,9 @@ class DistinctStream final : public UnaryStream {
       XQJG_ASSIGN_OR_RETURN(bool more, child_->Next(&in));
       if (!more) break;
       if (in.num_rows == 0) continue;
-      if (spilling_) {
-        XQJG_RETURN_NOT_OK(SpillBatch(in));
+      if (parts_) {
+        XQJG_RETURN_NOT_OK(SpillToPartitions(in, all_, false, &seq_,
+                                             parts_.get(), &ctx_->clock));
         continue;
       }
       buffered_rows_ += in.num_rows;
@@ -1639,79 +1286,73 @@ class DistinctStream final : public UnaryStream {
         return Status::Internal("distinct input exceeds batch row limit");
       }
       charge_.Add(ApproxBatchBytes(in));
-      bufs_.push_back(std::make_shared<const ColumnBatch>(std::move(in)));
+      bufs_.push_back(std::move(in));
       if (ctx_->budget.ShouldSpill() && buffered_rows_ >= kMinSpillRows) {
         XQJG_RETURN_NOT_OK(StartSpill());
       }
     }
-    if (spilling_) return FinishSpill();
-    return FinishInMemory();
+    if (parts_) return DedupPartitions();
+    return Dedup(bufs_, &keep_);
   }
 
  protected:
   Result<bool> NextImpl(ColumnBatch* out) override {
-    if (sorter_) return SorterWindow(sorter_.get(), 1, op_->schema, out);
-    if (next_ >= keep_.size()) return false;
-    const size_t end = std::min(keep_.size(), next_ + kStreamRows);
-    std::vector<ValueColumn> cols(arity_);
-    // Survivor gather; rows were admitted during Prime.
-    // xqjg-lint: allow(no-budget-guard)
-    for (size_t i = next_; i < end; ++i) {
-      const RowRef& ref = keep_[i];
-      const ColumnBatch& b = *bufs_[ref.batch];
-      const size_t p = b.PhysRow(ref.row);
-      for (size_t c = 0; c < arity_; ++c) cols[c].AppendFrom(*b.cols[c], p);
+    if (sorter_) {
+      XQJG_ASSIGN_OR_RETURN(bool more, sorter_->Next(out));
+      if (more) {
+        out->cols.pop_back();  // the sequence column
+        out->schema = op_->schema;
+      }
+      return more;
     }
-    out->schema = op_->schema;
-    out->num_rows = end - next_;
-    for (ValueColumn& c : cols) {
-      out->cols.push_back(std::make_shared<const ValueColumn>(std::move(c)));
+    while (next_ < bufs_.size()) {
+      const size_t i = next_++;
+      if (keep_[i].empty()) continue;
+      *out = SelectRows(bufs_[i], std::move(keep_[i]), op_->schema);
+      return true;
     }
-    next_ = end;
-    return true;
+    // Every survivor is out; consumers hold their own references.
+    bufs_.clear();
+    charge_.Reset();
+    return false;
   }
 
  private:
   struct RowRef {
     uint32_t batch;
-    uint32_t row;  ///< logical row within the batch
+    uint32_t phys;
   };
 
-  bool RefEqual(const RowRef& a, const RowRef& b) const {
-    const ColumnBatch& ba = *bufs_[a.batch];
-    const ColumnBatch& bb = *bufs_[b.batch];
-    const size_t pa = ba.PhysRow(a.row);
-    const size_t pb = bb.PhysRow(b.row);
-    for (size_t c = 0; c < arity_; ++c) {
-      // Distinct treats NULLs as duplicates of each other (unlike join
-      // keys): ValueColumn::EqualAt mirrors Value::operator==.
-      if (!ValueColumn::EqualAt(*ba.cols[c], pa, *bb.cols[c], pb)) {
-        return false;
-      }
-    }
-    return true;
-  }
-
-  Status FinishInMemory() {
+  /// First occurrences survive: (*keep)[i] lists the surviving physical
+  /// rows of bufs[i], in order. Distinct treats NULLs as duplicates of
+  /// each other (unlike join keys): ValueColumn::EqualAt mirrors
+  /// Value::operator==.
+  Status Dedup(const std::vector<ColumnBatch>& bufs,
+               std::vector<std::vector<uint32_t>>* keep) {
     std::unordered_map<size_t, std::vector<RowRef>> buckets;
-    for (size_t bi = 0; bi < bufs_.size(); ++bi) {
-      const ColumnBatch& b = *bufs_[bi];
+    keep->assign(bufs.size(), {});
+    for (size_t bi = 0; bi < bufs.size(); ++bi) {
+      const ColumnBatch& b = bufs[bi];
       for (size_t r = 0; r < b.num_rows; ++r) {
         XQJG_RETURN_NOT_OK(ctx_->clock.Tick());
-        const RowRef ref{static_cast<uint32_t>(bi),
-                         static_cast<uint32_t>(r)};
-        auto& bucket = buckets[HashKeysAt(b, all_, b.PhysRow(r))];
-        bool dup = false;
-        for (const RowRef& seen : bucket) {
-          if (RefEqual(seen, ref)) {
-            dup = true;
-            break;
-          }
-        }
-        if (!dup) {
-          bucket.push_back(ref);
-          keep_.push_back(ref);
-        }
+        const size_t p = b.PhysRow(r);
+        auto& bucket = buckets[HashKeysAt(b, all_, p)];
+        const bool dup =
+            std::any_of(bucket.begin(), bucket.end(), [&](const RowRef& s) {
+              const ColumnBatch& sb = bufs[s.batch];
+              for (int c : all_) {
+                if (!ValueColumn::EqualAt(*sb.cols[static_cast<size_t>(c)], s.phys,
+                                          *b.cols[static_cast<size_t>(c)],
+                                          p)) {
+                  return false;
+                }
+              }
+              return true;
+            });
+        if (dup) continue;
+        bucket.push_back(
+            RowRef{static_cast<uint32_t>(bi), static_cast<uint32_t>(p)});
+        (*keep)[bi].push_back(static_cast<uint32_t>(p));
       }
     }
     return Status::OK();
@@ -1719,91 +1360,42 @@ class DistinctStream final : public UnaryStream {
 
   /// Grace handover: re-route the retained rows to hash partitions.
   Status StartSpill() {
-    spilling_ = true;
-    parts_.resize(kSpillPartitions);
-    for (const auto& b : bufs_) XQJG_RETURN_NOT_OK(SpillBatch(*b));
+    parts_ = std::make_unique<SpillPartitionSet>(&ctx_->clock, ctx_->stats);
+    for (const ColumnBatch& b : bufs_) {
+      XQJG_RETURN_NOT_OK(SpillToPartitions(b, all_, false, &seq_,
+                                           parts_.get(), &ctx_->clock));
+    }
     bufs_.clear();
     charge_.Reset();
     return Status::OK();
   }
 
-  Status SpillBatch(const ColumnBatch& in) {
-    std::vector<Value> row(arity_ + 1);
-    for (size_t r = 0; r < in.num_rows; ++r) {
-      const size_t p = in.PhysRow(r);
-      row[0] = Value::Int(seq_++);
-      for (size_t c = 0; c < arity_; ++c) {
-        row[c + 1] = in.cols[c]->GetValue(p);
-      }
-      const size_t part = SpillPartition(HashKeysAt(in, all_, p));
-      XQJG_RETURN_NOT_OK(SpillAppendRow(&parts_[part], row.data(), arity_ + 1));
-      XQJG_RETURN_NOT_OK(ctx_->clock.Tick());
-    }
-    int64_t total = 0;
-    for (const SpillFile& f : parts_) total += f.bytes_written();
-    if (total > spill_reported_) {
-      ctx_->NoteSpill(total - spill_reported_);
-      spill_reported_ = total;
-    }
-    return Status::OK();
-  }
-
-  /// Each partition holds every copy of any value it holds at all, so
-  /// partitions dedup independently; survivors merge back in arrival
-  /// order through a sorter keyed on the sequence number.
-  Status FinishSpill() {
-    sorter_ = MakeSorter(ctx_, arity_ + 1, {0});
-    std::vector<Value> row(arity_ + 1);
-    for (SpillFile& part : parts_) {
-      if (part.rows() == 0) continue;
-      XQJG_RETURN_NOT_OK(part.Rewind());
-      // Rebuild the partition as one batch (charged while live) and run
-      // the exact in-memory dedup over it.
-      std::vector<ValueColumn> cols(arity_);
-      std::vector<int64_t> seqs;
-      for (;;) {
-        XQJG_ASSIGN_OR_RETURN(bool more,
-                              SpillReadRow(&part, row.data(), arity_ + 1));
-        if (!more) break;
-        seqs.push_back(row[0].AsInt());
-        for (size_t c = 0; c < arity_; ++c) cols[c].Append(row[c + 1]);
-        XQJG_RETURN_NOT_OK(ctx_->clock.Tick());
-      }
-      ColumnBatch b;
-      b.schema = op_->children[0]->schema;
-      b.num_rows = seqs.size();
-      for (ValueColumn& c : cols) {
-        b.cols.push_back(std::make_shared<const ValueColumn>(std::move(c)));
-      }
+  /// Each partition holds every copy of any row it holds at all, so
+  /// partitions dedup independently (charged while live).
+  Status DedupPartitions() {
+    sorter_ = std::make_unique<ExternalSorter>(
+        &ctx_->clock, &ctx_->budget, ctx_->stats,
+        std::vector<int>{static_cast<int>(arity_)});
+    for (size_t p = 0; p < kSpillPartitions; ++p) {
+      if (parts_->rows(p) == 0) continue;
+      std::vector<ColumnBatch> part;
       MemoryCharge charge(&ctx_->budget);
-      charge.Add(ApproxBatchBytes(b));
-      std::unordered_map<size_t, std::vector<uint32_t>> buckets;
-      for (size_t r = 0; r < b.num_rows; ++r) {
-        XQJG_RETURN_NOT_OK(ctx_->clock.Tick());
-        auto& bucket = buckets[HashKeysAt(b, all_, r)];
-        bool dup = false;
-        for (uint32_t j : bucket) {
-          bool eq = true;
-          for (const ColumnRef& col : b.cols) {
-            if (!ValueColumn::EqualAt(*col, r, *col, j)) {
-              eq = false;
-              break;
-            }
-          }
-          if (eq) {
-            dup = true;
-            break;
-          }
-        }
-        if (dup) continue;
-        bucket.push_back(static_cast<uint32_t>(r));
-        row[0] = Value::Int(seqs[r]);
-        for (size_t c = 0; c < arity_; ++c) row[c + 1] = b.cols[c]->GetValue(r);
-        XQJG_RETURN_NOT_OK(sorter_->Add(row));
+      for (size_t next = 0;;) {
+        ColumnBatch b;
+        XQJG_ASSIGN_OR_RETURN(bool more, parts_->Read(p, &next, &b));
+        if (!more) break;
+        charge.Add(ApproxBatchBytes(b));
+        part.push_back(std::move(b));
       }
-      part.Close();
+      std::vector<std::vector<uint32_t>> keep;
+      XQJG_RETURN_NOT_OK(Dedup(part, &keep));
+      for (size_t i = 0; i < part.size(); ++i) {
+        if (keep[i].empty()) continue;
+        XQJG_RETURN_NOT_OK(
+            sorter_->Add(SelectRows(part[i], std::move(keep[i]), {})));
+      }
     }
-    parts_.clear();
+    parts_.reset();
     return sorter_->Finish();
   }
 
@@ -1812,15 +1404,13 @@ class DistinctStream final : public UnaryStream {
   size_t arity_ = 0;
   std::vector<int> all_;
   size_t buffered_rows_ = 0;
-  std::vector<std::shared_ptr<const ColumnBatch>> bufs_;
-  std::vector<RowRef> keep_;
+  std::vector<ColumnBatch> bufs_;
+  std::vector<std::vector<uint32_t>> keep_;
   size_t next_ = 0;
   // Grace state.
-  bool spilling_ = false;
-  std::vector<SpillFile> parts_;
+  std::unique_ptr<SpillPartitionSet> parts_;
   int64_t seq_ = 0;
-  int64_t spill_reported_ = 0;
-  std::unique_ptr<ExternalValueSorter> sorter_;
+  std::unique_ptr<ExternalSorter> sorter_;
 };
 
 /// Index probes of one kIxScan, with the access path compiled by
@@ -2083,56 +1673,41 @@ class PipelineBuilder {
     return it == lowered_->probes.end() ? nullptr : &it->second;
   }
 
+  /// A stream of type T over `op`'s one child.
+  template <typename T>
+  Result<std::unique_ptr<BatchStream>> Unary(const Op* op) {
+    XQJG_ASSIGN_OR_RETURN(auto child, Build(op->children[0].get()));
+    return std::unique_ptr<BatchStream>(
+        std::make_unique<T>(ctx_, op, std::move(child)));
+  }
+
   Result<std::unique_ptr<BatchStream>> BuildOperator(const Op* op) {
-    std::unique_ptr<BatchStream> s;
     switch (op->kind) {
       case OpKind::kDocTable:
       case OpKind::kLiteral:
         // Handled in Build() (always memoized); unreachable here.
         return Status::Internal("leaf operator in BuildOperator");
-      case OpKind::kSerialize: {
-        XQJG_ASSIGN_OR_RETURN(auto child, Build(op->children[0].get()));
-        s = std::make_unique<SerializeStream>(ctx_, op, std::move(child));
-        return s;
-      }
-      case OpKind::kProject: {
-        XQJG_ASSIGN_OR_RETURN(auto child, Build(op->children[0].get()));
-        s = std::make_unique<ProjectStream>(ctx_, op, std::move(child));
-        return s;
-      }
-      case OpKind::kSelect: {
-        XQJG_ASSIGN_OR_RETURN(auto child, Build(op->children[0].get()));
-        s = std::make_unique<FilterStream>(ctx_, op, std::move(child));
-        return s;
-      }
+      case OpKind::kSerialize:
+        return Unary<SerializeStream>(op);
+      case OpKind::kProject:
+        return Unary<ProjectStream>(op);
+      case OpKind::kSelect:
+        return Unary<FilterStream>(op);
       case OpKind::kJoin:
       case OpKind::kCross: {
         XQJG_ASSIGN_OR_RETURN(auto left, Build(op->children[0].get()));
         XQJG_ASSIGN_OR_RETURN(auto right, Build(op->children[1].get()));
-        s = std::make_unique<HashJoinStream>(ctx_, op, std::move(left),
-                                             std::move(right));
-        return s;
+        return std::unique_ptr<BatchStream>(std::make_unique<HashJoinStream>(
+            ctx_, op, std::move(left), std::move(right)));
       }
-      case OpKind::kDistinct: {
-        XQJG_ASSIGN_OR_RETURN(auto child, Build(op->children[0].get()));
-        s = std::make_unique<DistinctStream>(ctx_, op, std::move(child));
-        return s;
-      }
-      case OpKind::kAttach: {
-        XQJG_ASSIGN_OR_RETURN(auto child, Build(op->children[0].get()));
-        s = std::make_unique<AttachStream>(ctx_, op, std::move(child));
-        return s;
-      }
-      case OpKind::kRowId: {
-        XQJG_ASSIGN_OR_RETURN(auto child, Build(op->children[0].get()));
-        s = std::make_unique<RowIdStream>(ctx_, op, std::move(child));
-        return s;
-      }
-      case OpKind::kRank: {
-        XQJG_ASSIGN_OR_RETURN(auto child, Build(op->children[0].get()));
-        s = std::make_unique<RankStream>(ctx_, op, std::move(child));
-        return s;
-      }
+      case OpKind::kDistinct:
+        return Unary<DistinctStream>(op);
+      case OpKind::kAttach:
+        return Unary<AttachStream>(op);
+      case OpKind::kRowId:
+        return Unary<RowIdStream>(op);
+      case OpKind::kRank:
+        return Unary<RankStream>(op);
     }
     return Status::Internal("unhandled operator in columnar pipeline");
   }

@@ -1,40 +1,54 @@
-// Spill-to-disk primitives for the pipelined columnar executors.
+// Spill-to-disk for the pipeline breakers of the columnar executor.
 //
-// When a pipeline breaker's buffered state would exceed
-// ExecLimits::max_memory_bytes, it moves that state into anonymous
-// temporary files (std::tmpfile — unlinked on creation, so crashes leak
-// no paths and destruction is the only cleanup needed):
+// When a breaker's buffered state would exceed ExecLimits::max_memory_bytes,
+// it moves that state into an anonymous temporary file (std::tmpfile —
+// unlinked on creation, so crashes leak no paths and destruction is the
+// only cleanup needed). There is one spill format and one file per user:
 //
-//   * sorts flush sorted runs and k-way-merge them on read-back, with a
-//     run-index tie-break that reproduces the in-memory stable sort
-//     bit-for-bit (runs are consecutive input ranges, so an earlier run
-//     means a smaller original index);
-//   * hash-join build sides and duplicate elimination hash-partition
-//     their rows Grace-style and process one partition at a time.
-//
-// One framing covers every spilled row in the system: tagged Value rows,
-// fixed-arity per file, so readers need no per-file header.
+//   * A block is one ColumnBatch window in typed form: int64 and double
+//     columns raw with a null mask, plain strings once per block (lengths,
+//     then bytes), dictionary strings as codes into the dictionary the
+//     column already shares (the file keeps it alive), and kMixed columns
+//     as tagged values. Only kMixed cells are boxed as Values.
+//   * An ExternalSorter writes its sorted runs as consecutive blocks of
+//     one file; a run is a byte range of it. Finish() merges runs in
+//     passes of kMergeFanIn until at most kMergeFanIn are left, so neither
+//     descriptors nor the charged run heads grow with the run count. Runs
+//     are consecutive input ranges and the merge breaks key ties by run
+//     index, so (key, run, position) reproduces the stable in-memory sort
+//     of the whole input bit for bit.
+//   * A SpillPartitionSet hash-partitions batches into kSpillPartitions
+//     partitions of one file; a partition is a list of blocks. The Grace
+//     hash join and δ read each partition back as batches and rerun their
+//     in-memory algorithm on it. Arrival sequence numbers travel as an
+//     extra int64 column, and an ExternalSorter keyed on them restores
+//     the serial order.
 #ifndef XQJG_ENGINE_SPILL_H_
 #define XQJG_ENGINE_SPILL_H_
 
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <vector>
 
 #include "src/common/status.h"
-#include "src/common/value.h"
+#include "src/common/value_column.h"
+#include "src/engine/columnar/column_batch.h"
 #include "src/engine/exec_options.h"
 
 namespace xqjg::engine {
 
 /// Grace partition fan-out for spilled hash state. 32 partitions cut the
-/// resident build fraction to ~3% while the per-partition files stay
+/// resident build fraction to ~3% while the per-partition blocks stay
 /// large enough for sequential I/O.
 constexpr size_t kSpillPartitions = 32;
 /// Floor under any spill decision: a buffer below this many rows never
 /// flushes, whatever the governor says — prevents a run (or partition
 /// write) per row at pathologically tiny budgets.
 constexpr size_t kMinSpillRows = 1024;
+/// Runs merged at once. A merge holds one block per run it reads, so this
+/// bounds the merge's memory and its reads per emitted window.
+constexpr size_t kMergeFanIn = 64;
 
 /// Partition selector over a row's key hash. Uses the high bits so it
 /// stays independent of any power-of-two bucket masking done with the
@@ -43,119 +57,125 @@ inline size_t SpillPartition(size_t h) {
   return (h >> 59) & (kSpillPartitions - 1);
 }
 
-/// One anonymous spill file: append-only until Rewind(), then a single
-/// sequential read pass. Move-only RAII — closing the FILE* releases the
-/// (already unlinked) disk space.
+/// One anonymous spill file of typed batch blocks: blocks are appended at
+/// the end and read back by offset, so any number of runs or partitions
+/// share the one descriptor.
 class SpillFile {
  public:
   SpillFile() = default;
-  SpillFile(SpillFile&& other) noexcept
-      : file_(other.file_), bytes_(other.bytes_), rows_(other.rows_) {
-    other.file_ = nullptr;
-    other.bytes_ = 0;
-    other.rows_ = 0;
-  }
-  SpillFile& operator=(SpillFile&& other) noexcept;
   SpillFile(const SpillFile&) = delete;
   SpillFile& operator=(const SpillFile&) = delete;
-  ~SpillFile() { Close(); }
+  ~SpillFile();
 
-  /// Appends `n` raw bytes, creating the temp file on first use.
-  Status Append(const void* data, size_t n);
-  /// Flushes and seeks to the start for the read pass.
-  Status Rewind();
-  /// Reads up to `n` bytes; short count at end-of-file, 0 when exhausted.
-  Result<size_t> Read(void* out, size_t n);
-  void Close();
-
-  bool open() const { return file_ != nullptr; }
-  int64_t bytes_written() const { return bytes_; }
-  /// Row count is bookkeeping for the writers below (Append alone does
-  /// not advance it).
-  int64_t rows() const { return rows_; }
+  /// Appends the logical rows of `batch` as one block, creating the file
+  /// on first use.
+  Status Append(const columnar::ColumnBatch& batch, BudgetClock* clock);
+  /// Decodes the block at *offset into a dense batch (no schema) and
+  /// advances *offset past it.
+  Status Read(int64_t* offset, columnar::ColumnBatch* out,
+              BudgetClock* clock);
+  /// Bytes written so far, which is also the offset of the next block.
+  int64_t size() const { return size_; }
 
  private:
-  friend Status SpillAppendRow(SpillFile*, const Value*, size_t);
-
   std::FILE* file_ = nullptr;
-  int64_t bytes_ = 0;
-  int64_t rows_ = 0;
+  int64_t size_ = 0;
+  /// Dictionaries that dictionary blocks index (kept alive for reads).
+  std::vector<std::shared_ptr<const StringDict>> dicts_;
 };
 
-/// Appends one fixed-arity row of Values (tagged binary framing).
-Status SpillAppendRow(SpillFile* file, const Value* row, size_t arity);
-/// Reads the next Value row; false when the file is exhausted. A partial
-/// row (truncated file) is an Internal error.
-Result<bool> SpillReadRow(SpillFile* file, Value* row, size_t arity);
-
-/// Approximate in-memory bytes of one Value row — the charge unit for
-/// breaker buffers that hold rows as Values.
-int64_t ValueRowBytes(const Value* row, size_t arity);
-
-/// External-merge sorter over boxed Value rows — the spill engine behind
-/// every order-sensitive breaker (the serialize sort, Grace-join order
-/// restoration, and δ survivor merge). Rows accumulate in memory
-/// (charged against `budget`); when the governor says spill, the buffer
-/// is stable-sorted and flushed as one sorted run. Finish() sorts the
-/// tail run; Next() merges runs with a run-index tie-break, and the run
-/// heads it holds stay charged. Runs are consecutive input
-/// ranges, so (key, run index, position in run) reproduces a stable
-/// in-memory sort of the whole input bit-for-bit — which is how every
-/// spilled path stays order-identical to the serial executor.
-class ExternalValueSorter {
+/// External-merge sorter over column batches — the one sort of every
+/// order-sensitive breaker (the serialize sort, and the order restoration
+/// of the Grace join and δ). Batches accumulate in memory (charged against
+/// `budget`) and sort as a (batch, row) permutation with a stable sort.
+/// When the governor says spill, the buffer is sorted and written as one
+/// run; Finish() then merges (see the file comment). Either way the output
+/// is the stable sort of the whole input on `keys`.
+class ExternalSorter {
  public:
-  /// `keys` are column indices compared in order via Value::SortLess;
-  /// rows equal on every key keep their input order. `stats` (nullable)
-  /// receives spill_bytes / spill_events accounting.
-  ExternalValueSorter(BudgetClock* clock, MemoryBudget* budget,
-                      ExecStats* stats, size_t arity, std::vector<int> keys)
-      : clock_(clock),
-        budget_(budget),
-        stats_(stats),
-        arity_(arity),
-        keys_(std::move(keys)),
-        charge_(budget) {}
+  /// `keys` are column indices compared in order via
+  /// ValueColumn::SortLessAt; rows equal on every key keep their input
+  /// order. `stats` (nullable) receives spill_bytes / spill_events.
+  ExternalSorter(BudgetClock* clock, MemoryBudget* budget, ExecStats* stats,
+                 std::vector<int> keys);
+  ~ExternalSorter();
 
-  Status Add(std::vector<Value> row);
+  Status Add(columnar::ColumnBatch batch);
 
-  /// Seals the input: sorts the in-memory tail (or opens the run
-  /// cursors). Must be called exactly once before the first Next().
+  /// Seals the input: sorts the in-memory buffer, or flushes it and opens
+  /// the run merge. Must be called exactly once before the first Next().
   Status Finish();
 
-  /// Pops the next row in sort order; false when exhausted.
-  Result<bool> Next(std::vector<Value>* row);
+  /// The next ≤kStreamRows rows in sort order as one dense batch with no
+  /// schema; false when exhausted. The merge checks the deadline once per
+  /// window and ticks the clock per row.
+  Result<bool> Next(columnar::ColumnBatch* out);
 
   int64_t total_rows() const { return total_rows_; }
   bool spilled() const { return !runs_.empty(); }
 
  private:
-  struct RunCursor {
-    std::vector<Value> row;
-    bool live = false;
+  struct RowRef {
+    uint32_t batch;
+    uint32_t row;  ///< logical row within the batch
   };
+  struct Run {
+    int64_t begin;  ///< byte range of the run's blocks in file_
+    int64_t end;
+  };
+  class Merge;
 
-  bool RowLess(const std::vector<Value>& a,
-               const std::vector<Value>& b) const;
-  /// Heap order over run indices: true when run `b`'s head comes first
-  /// (the smaller row; on equal rows the earlier run, which keeps the
-  /// merge stable).
-  bool HeapAfter(uint32_t a, uint32_t b) const;
-  Status SortBuf();
+  bool RefLess(const RowRef& a, const RowRef& b) const;
+  Status SortBuffer();
+  /// Dense batch of perm_[begin, end).
+  columnar::ColumnBatch Gather(size_t begin, size_t end) const;
   Status FlushRun();
+  Status MergePass();
 
   BudgetClock* clock_;
   MemoryBudget* budget_;
   ExecStats* stats_;
-  const size_t arity_;
   const std::vector<int> keys_;
   MemoryCharge charge_;
-  std::vector<std::vector<Value>> buf_;
-  size_t pos_ = 0;  ///< in-memory read cursor (always 0 before Finish)
-  std::vector<SpillFile> runs_;
-  std::vector<RunCursor> cursors_;
-  /// Min-heap (under HeapAfter) of the runs whose cursor is live.
-  std::vector<uint32_t> heap_;
+  std::vector<columnar::ColumnBatch> bufs_;
+  size_t buffered_rows_ = 0;
+  std::vector<RowRef> perm_;
+  size_t next_ = 0;  ///< in-memory read cursor into perm_
+  SpillFile file_;
+  std::vector<Run> runs_;
+  columnar::ColumnBatch last_row_;  ///< the last run's last row
+  std::unique_ptr<Merge> merge_;
   int64_t total_rows_ = 0;
+};
+
+/// kSpillPartitions hash partitions of column batches in one spill file.
+class SpillPartitionSet {
+ public:
+  SpillPartitionSet(BudgetClock* clock, ExecStats* stats)
+      : clock_(clock), stats_(stats) {}
+
+  /// Writes logical row r of `batch` to partition part[r], one block per
+  /// non-empty partition; rows whose part[r] is ≥ kSpillPartitions are
+  /// dropped. Counts one spill event.
+  Status Append(const columnar::ColumnBatch& batch,
+                const std::vector<uint8_t>& part);
+
+  /// Reads block *next of partition `p` (in append order) as a dense batch
+  /// with no schema, and advances *next. False once `p` is exhausted.
+  Result<bool> Read(size_t p, size_t* next, columnar::ColumnBatch* out);
+
+  int64_t rows(size_t p) const { return parts_[p].rows; }
+
+ private:
+  struct Partition {
+    std::vector<int64_t> blocks;  ///< block offsets, in append order
+    int64_t rows = 0;
+  };
+
+  BudgetClock* clock_;
+  ExecStats* stats_;
+  SpillFile file_;
+  Partition parts_[kSpillPartitions];
 };
 
 }  // namespace xqjg::engine

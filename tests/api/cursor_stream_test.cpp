@@ -133,21 +133,36 @@ TEST_F(CursorStreamTest, TimedOutFetchStillAccruesFetchSeconds) {
   auto pq = Prepare("mid.xml");
   ASSERT_TRUE(pq.ok()) << pq.status().ToString();
 
-  // The execution deadline is absolute from Execute. Prime comfortably
-  // beats it; sleeping past it then asking one fetch to pull the whole
-  // 20k-row result sends >4096 pulls through the spilled run merge —
-  // whose per-row Tick is what notices the expired deadline (the
-  // in-memory path never ticks, hence the spill-forcing budget).
+  // The execution deadline is absolute from Execute, so it must outlast
+  // Prime — which takes several times longer in Debug and sanitizer
+  // builds. Measure Execute + Prime of the same query without a deadline
+  // and derive the deadline from it.
   api::ExecuteOptions exec;
   exec.limits.max_memory_bytes = 64 * 1024;
-  exec.limits.timeout_seconds = 2.0;
+  const auto start = std::chrono::steady_clock::now();
+  {
+    auto probe = processor_->Execute(pq.value(), exec);
+    ASSERT_TRUE(probe.ok()) << probe.status().ToString();
+    ASSERT_TRUE(probe.value()->Prime().ok());
+  }
+  const double prime_seconds = std::chrono::duration<double>(
+                                   std::chrono::steady_clock::now() - start)
+                                   .count();
+
+  // Prime comfortably beats the deadline; sleeping past it then asking
+  // one fetch to pull the whole 20k-row result sends >4096 rows through
+  // the spilled run merge — which checks the deadline once per emitted
+  // window, and so notices it expired (the in-memory path only ticks its
+  // amortized clock per window, hence the spill-forcing budget).
+  exec.limits.timeout_seconds = std::max(1.0, 5 * prime_seconds);
   auto cursor = processor_->Execute(pq.value(), exec);
   ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
   ASSERT_TRUE(cursor.value()->Prime().ok());
   ASSERT_GT(cursor.value()->stats().engine.spill_events, 0)
       << "budget did not force a spill; the pull path would not tick";
 
-  std::this_thread::sleep_for(std::chrono::milliseconds(2500));
+  std::this_thread::sleep_for(std::chrono::duration<double>(
+      exec.limits.timeout_seconds + 0.5));
   auto batch = cursor.value()->FetchNext(static_cast<size_t>(kMidRows));
   ASSERT_FALSE(batch.ok()) << "expected the expired deadline to surface";
   EXPECT_EQ(batch.status().code(), StatusCode::kTimeout)

@@ -8,12 +8,16 @@
 // spill-forcing budget, a moderate budget, and no budget, at every
 // worker count, to each other and to the native interpreter — and that
 // the spill machinery actually engages (spill_events) when forced.
-// Also pins two unit contracts: the shared external sorter reproduces a
-// stable in-memory sort across runs, and a worker clock's TickThrow
+// Also pins unit contracts: the shared external sorter reproduces a
+// stable in-memory sort across runs (and keeps one descriptor however
+// many runs it writes), every column representation round-trips through
+// the spill format, and a worker clock's TickThrow
 // observes the region abort latch immediately (regression: it used to
 // consult only the local deadline, so sort comparators kept running
 // after a sibling worker hit a budget).
 #include <gtest/gtest.h>
+
+#include <sys/resource.h>
 
 #include <algorithm>
 #include <cstdint>
@@ -27,8 +31,12 @@
 #include "src/common/value.h"
 #include "src/data/dblp.h"
 #include "src/data/xmark.h"
-#include "src/engine/database.h"
+#include "src/algebra/operators.h"
+#include "src/common/value_column.h"
+#include "src/engine/columnar/column_batch.h"
+#include "src/engine/columnar/columnar_exec.h"
 #include "src/engine/columnar/plan_exec.h"
+#include "src/engine/database.h"
 #include "src/engine/exec_options.h"
 #include "src/engine/planner.h"
 #include "src/engine/spill.h"
@@ -65,47 +73,170 @@ TEST(BudgetClockAbort, TickThrowObservesTheRegionLatchImmediately) {
   EXPECT_THROW(late.TickThrow(), engine::BudgetExhausted);
 }
 
-TEST(ExternalValueSorter, SpilledMergeEqualsStableInMemorySort) {
-  // Rows keyed on column 0 with heavy duplication; column 1 is the input
-  // position, NOT a sort key — if the run merge (with its run-index
-  // tie-break) reproduces a stable sort, positions within each key stay
-  // ascending.
-  constexpr int kRows = 5000;  // several runs at this budget
+/// A dense two-int-column batch of rows [begin, end): column 0 is a key
+/// with 13 heavily duplicated groups, column 1 the input position.
+engine::columnar::ColumnBatch KeyedRows(int64_t begin, int64_t end) {
+  std::vector<int64_t> keys, pos;
+  for (int64_t r = begin; r < end; ++r) {
+    keys.push_back((r * 7919) % 13);
+    pos.push_back(r);
+  }
+  engine::columnar::ColumnBatch batch;
+  batch.num_rows = static_cast<size_t>(end - begin);
+  batch.cols.push_back(std::make_shared<const ValueColumn>(
+      ValueColumn::Ints(std::move(keys))));
+  batch.cols.push_back(std::make_shared<const ValueColumn>(
+      ValueColumn::Ints(std::move(pos))));
+  return batch;
+}
+
+/// Drains a finished sorter over KeyedRows input and checks the stable
+/// sort: keys ascend, positions ascend within each key, and every row of
+/// [0, rows) comes out once.
+void ExpectStableKeyedSort(engine::ExternalSorter* sorter, int64_t rows) {
+  int64_t prev_key = -1, prev_pos = -1, seen = 0;
+  for (;;) {
+    engine::columnar::ColumnBatch out;
+    auto more = sorter->Next(&out);
+    ASSERT_TRUE(more.ok()) << more.status().ToString();
+    if (!more.value()) break;
+    ASSERT_EQ(out.cols.size(), 2u);
+    ASSERT_LE(out.num_rows, engine::columnar::kStreamRows);
+    for (size_t r = 0; r < out.num_rows; ++r) {
+      const int64_t key = out.cols[0]->ints()[r];
+      const int64_t pos = out.cols[1]->ints()[r];
+      ASSERT_GE(key, prev_key) << "merge emitted keys out of order";
+      if (key == prev_key) {
+        ASSERT_GT(pos, prev_pos) << "stability lost within key " << key;
+      }
+      prev_key = key;
+      prev_pos = pos;
+      ++seen;
+    }
+  }
+  EXPECT_EQ(seen, rows);
+}
+
+TEST(ExternalSorter, SpilledMergeEqualsStableInMemorySort) {
+  // Column 1 is the input position, NOT a sort key — if the run merge
+  // (with its run-index tie-break) reproduces a stable sort, positions
+  // within each key stay ascending.
+  constexpr int64_t kRows = 5000;  // several runs at this budget
   engine::ExecLimits limits;
   limits.max_memory_bytes = 8 * 1024;
   engine::BudgetClock clock(limits);
   engine::MemoryBudget budget(limits.max_memory_bytes);
   engine::ExecStats stats;
-  engine::ExternalValueSorter sorter(&clock, &budget, &stats, /*arity=*/2,
-                                     /*keys=*/{0});
-  for (int r = 0; r < kRows; ++r) {
-    std::vector<Value> row;
-    row.push_back(Value::Int((r * 7919) % 13));  // 13 key groups
-    row.push_back(Value::Int(r));
-    ASSERT_TRUE(sorter.Add(std::move(row)).ok());
+  engine::ExternalSorter sorter(&clock, &budget, &stats, /*keys=*/{0});
+  for (int64_t r = 0; r < kRows; r += 500) {
+    ASSERT_TRUE(sorter.Add(KeyedRows(r, r + 500)).ok());
   }
   ASSERT_TRUE(sorter.Finish().ok());
   ASSERT_TRUE(sorter.spilled());
   EXPECT_GT(stats.spill_events, 0);
   EXPECT_GT(stats.spill_bytes, 0);
+  ExpectStableKeyedSort(&sorter, kRows);
+}
 
-  int64_t prev_key = -1, prev_pos = -1, seen = 0;
-  std::vector<Value> row;
-  for (;;) {
-    auto more = sorter.Next(&row);
-    ASSERT_TRUE(more.ok()) << more.status().ToString();
-    if (!more.value()) break;
-    const int64_t key = row[0].AsInt();
-    const int64_t pos = row[1].AsInt();
-    ASSERT_GE(key, prev_key) << "merge emitted keys out of order";
-    if (key == prev_key) {
-      ASSERT_GT(pos, prev_pos) << "stability lost within key " << key;
-    }
-    prev_key = key;
-    prev_pos = pos;
-    ++seen;
+TEST(ExternalSorter, ThousandRunsSortUnderASixtyFourDescriptorLimit) {
+  // One file per sorter, whatever the run count: with the soft descriptor
+  // limit at 64, a sort of more than 1000 runs must still succeed (a file
+  // per run runs out of descriptors after about 60).
+  constexpr int64_t kRows = 1001 * engine::kMinSpillRows;
+  rlimit old_limit{};
+  ASSERT_EQ(getrlimit(RLIMIT_NOFILE, &old_limit), 0);
+  rlimit low = old_limit;
+  low.rlim_cur = 64;
+  ASSERT_EQ(setrlimit(RLIMIT_NOFILE, &low), 0);
+  struct Restore {
+    rlimit limit;
+    ~Restore() { setrlimit(RLIMIT_NOFILE, &limit); }
+  } restore{old_limit};
+
+  engine::ExecLimits limits;
+  limits.max_memory_bytes = 8 * 1024;
+  engine::BudgetClock clock(limits);
+  engine::MemoryBudget budget(limits.max_memory_bytes);
+  engine::ExecStats stats;
+  engine::ExternalSorter sorter(&clock, &budget, &stats, /*keys=*/{0});
+  const auto step = static_cast<int64_t>(engine::kMinSpillRows);
+  for (int64_t r = 0; r < kRows; r += step) {
+    ASSERT_TRUE(sorter.Add(KeyedRows(r, r + step)).ok());
   }
-  EXPECT_EQ(seen, kRows);
+  Status finished = sorter.Finish();
+  ASSERT_TRUE(finished.ok()) << finished.ToString();
+  EXPECT_GT(stats.spill_events, 1000) << "expected more than 1000 runs";
+  ExpectStableKeyedSort(&sorter, kRows);
+}
+
+// ---------------------------------------------------------------------------
+// Spill format: a block read back holds the values written, per column
+// representation. Each column is written through a lazy window that skips
+// its first row, so the selection-vector path of the writer runs too.
+
+void ExpectRoundTrip(const ValueColumn& col) {
+  auto shared = std::make_shared<const ValueColumn>(col);
+  std::vector<uint32_t> rows(col.size() - 1);
+  std::iota(rows.begin(), rows.end(), 1);
+  engine::columnar::ColumnBatch window;
+  window.num_rows = rows.size();
+  window.cols = {shared};
+  window.sel = std::make_shared<const std::vector<uint32_t>>(rows);
+  engine::BudgetClock clock;
+  engine::SpillFile file;
+  ASSERT_TRUE(file.Append(window, &clock).ok());
+  ASSERT_TRUE(file.Append(window, &clock).ok());  // a second block
+  int64_t offset = 0;
+  for (int block = 0; block < 2; ++block) {
+    engine::columnar::ColumnBatch back;
+    Status st = file.Read(&offset, &back, &clock);
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    ASSERT_EQ(back.num_rows, rows.size());
+    ASSERT_EQ(back.cols.size(), 1u);
+    ASSERT_EQ(back.cols[0]->size(), rows.size());
+    for (size_t r = 0; r < rows.size(); ++r) {
+      const Value want = col.GetValue(rows[r]);
+      const Value got = back.cols[0]->GetValue(r);
+      EXPECT_EQ(got.type(), want.type()) << "row " << r;
+      EXPECT_EQ(got, want) << "row " << r << ": " << got.ToString()
+                           << " != " << want.ToString();
+    }
+  }
+  EXPECT_EQ(offset, file.size());
+}
+
+TEST(SpillFormat, Int64WithoutNulls) {
+  ExpectRoundTrip(ValueColumn::Ints({7, -1, 0, INT64_MAX, INT64_MIN}));
+}
+
+TEST(SpillFormat, Int64WithNulls) {
+  ExpectRoundTrip(ValueColumn::Ints({1, 2, 3, 4, 5}, {0, 1, 0, 0, 1}));
+}
+
+TEST(SpillFormat, DoubleWithNulls) {
+  ExpectRoundTrip(ValueColumn::Doubles({0.5, -2.25, 1e300, 3.0, 0.0},
+                                       {0, 0, 1, 0, 1}));
+}
+
+TEST(SpillFormat, PlainString) {
+  ExpectRoundTrip(ValueColumn::Strings(
+      {"skipped", "", "a", std::string(3, '\0') + "nul", "long string"},
+      {0, 0, 0, 0, 1}));
+}
+
+TEST(SpillFormat, DictionaryString) {
+  const ValueColumn col = ValueColumn::DictStrings(
+      {"item", "name", "item", "", "name", "item"}, {0, 0, 0, 0, 1, 0});
+  ASSERT_EQ(col.tag(), ColumnTag::kDictString);
+  ExpectRoundTrip(col);
+}
+
+TEST(SpillFormat, Mixed) {
+  const ValueColumn col = ColumnFromValues(
+      {Value::Int(1), Value::String("two"), Value::Double(3.5),
+       Value::Null(), Value::Int(-5), Value::String("")});
+  ASSERT_EQ(col.tag(), ColumnTag::kMixed);
+  ExpectRoundTrip(col);
 }
 
 // ---------------------------------------------------------------------------
@@ -389,6 +520,61 @@ TEST_F(GraceJoinSpill, IndexNestedLoopIsBitIdentical) {
   join->right->eq_prefix = 1;
   plan.root = std::move(join);
   ExpectIdentityAtEveryBudget(plan);
+}
+
+// ---------------------------------------------------------------------------
+// δ's Grace path, isolated: a heavily duplicated projection of the doc
+// relation buffers far past 16 KiB, so δ hash-partitions its input to
+// disk, dedups each partition, and merges the survivors back into
+// first-occurrence order by their arrival sequence numbers.
+
+class GraceDistinctSpill : public GraceJoinSpill {};
+
+TEST_F(GraceDistinctSpill, DuplicateHeavyProjectionIsBitIdentical) {
+  const algebra::OpPtr plan = algebra::MakeDistinct(algebra::MakeProject(
+      algebra::MakeDocTable(),
+      {{"n", "name"}, {"k", "kind"}, {"l", "level"}}));
+  auto unlimited = engine::columnar::EvaluateColumnar(plan, *big_doc_);
+  ASSERT_TRUE(unlimited.ok()) << unlimited.status().ToString();
+  const engine::MatTable& expected = unlimited.value();
+  ASSERT_GT(expected.rows.size(), 1u);
+  ASSERT_LT(expected.rows.size() * 10,
+            static_cast<size_t>(big_doc_->row_count()))
+      << "the projection is not duplicate-heavy";
+
+  for (int threads : kThreadCounts) {
+    for (int64_t budget : {int64_t{0}, kTinyBudget}) {
+      engine::ExecStats stats;
+      engine::ExecOptions options;
+      options.threads = threads;
+      options.limits.max_memory_bytes = budget;
+      options.stats = &stats;
+      auto result =
+          engine::columnar::EvaluateColumnar(plan, *big_doc_, options);
+      ASSERT_TRUE(result.ok()) << "threads=" << threads << " budget="
+                               << budget << ": "
+                               << result.status().ToString();
+      const engine::MatTable& got = result.value();
+      EXPECT_EQ(got.schema, expected.schema);
+      ASSERT_EQ(got.rows.size(), expected.rows.size())
+          << "threads=" << threads << " budget=" << budget;
+      for (size_t r = 0; r < got.rows.size(); ++r) {
+        ASSERT_EQ(got.rows[r].size(), expected.rows[r].size());
+        for (size_t c = 0; c < got.rows[r].size(); ++c) {
+          const Value& g = got.rows[r][c];
+          const Value& e = expected.rows[r][c];
+          ASSERT_TRUE(g.type() == e.type() && g == e)
+              << "threads=" << threads << " budget=" << budget << " row "
+              << r << " col " << c << ": " << g.ToString()
+              << " != " << e.ToString();
+        }
+      }
+      if (budget == kTinyBudget) {
+        EXPECT_GT(stats.spill_events, 0)
+            << "threads=" << threads << ": δ did not spill at 16 KiB";
+      }
+    }
+  }
 }
 
 }  // namespace
