@@ -74,20 +74,22 @@ void ValueColumn::Reserve(size_t n) {
 }
 
 void ValueColumn::SetTagFromFirstValue(const Value& v) {
-  ColumnTag tag = ColumnTag::kMixed;
   switch (v.type()) {
     case ValueType::kInt:
-      tag = ColumnTag::kInt;
+      DecideTag(ColumnTag::kInt);
       break;
     case ValueType::kDouble:
-      tag = ColumnTag::kDouble;
+      DecideTag(ColumnTag::kDouble);
       break;
     case ValueType::kString:
-      tag = ColumnTag::kString;
+      DecideTag(ColumnTag::kString);
       break;
     case ValueType::kNull:
-      return;  // tag stays undecided until a non-NULL value arrives
+      break;  // tag stays undecided until a non-NULL value arrives
   }
+}
+
+void ValueColumn::DecideTag(ColumnTag tag) {
   // Rows stored so far (if any) are all NULL and live in the default kInt
   // payload; move their placeholder slots to the decided representation.
   ints_.clear();
@@ -104,6 +106,8 @@ void ValueColumn::SetTagFromFirstValue(const Value& v) {
       strings_.assign(size_, std::string());
       break;
     case ColumnTag::kDictString:
+      codes_.assign(size_, 0);
+      break;
     case ColumnTag::kMixed:
       break;
   }
@@ -203,6 +207,12 @@ void ValueColumn::AppendFrom(const ValueColumn& src, size_t row) {
   if (src.IsNull(row)) {
     AppendNull();
     return;
+  }
+  if (!tag_decided_ && src.tag_ != ColumnTag::kMixed) {
+    // Only NULLs so far: take src's representation (sharing its
+    // dictionary), so this cell and the ones after it copy typed.
+    DecideTag(src.tag_);
+    dict_ = src.dict_;
   }
   if (tag_decided_ && tag_ == src.tag_ && src.tag_ != ColumnTag::kMixed) {
     switch (tag_) {

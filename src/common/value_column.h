@@ -70,7 +70,9 @@ class ValueColumn {
   void Append(const Value& v);
   void AppendNull();
   /// Appends src's cell `row`; fast (no Value round-trip) when tags match
-  /// (dict → dict with a shared dictionary copies the code directly).
+  /// (dict → dict with a shared dictionary copies the code directly). A
+  /// column holding only NULLs takes src's representation, and a
+  /// dictionary source's dictionary, on its first non-NULL cell.
   void AppendFrom(const ValueColumn& src, size_t row);
 
   /// Mirrors Value::Hash() of GetValue(row) without materializing it
@@ -160,6 +162,8 @@ class ValueColumn {
 
  private:
   void SetTagFromFirstValue(const Value& v);
+  /// Fixes the representation of a column that holds only NULLs so far.
+  void DecideTag(ColumnTag tag);
   void DemoteToMixed();
   void MarkNull(size_t row);
   /// Clones the dictionary if other columns share it (copy-on-write

@@ -25,12 +25,6 @@ std::string AliasColumn(int alias, const std::string& col) {
   return StrPrintf("d%d.%s", alias, col.c_str());
 }
 
-uint32_t MaskOf(const QualComparison& p) {
-  uint32_t mask = 0;
-  for (int a : p.Aliases()) mask |= 1u << a;
-  return mask;
-}
-
 uint32_t MaskOf(const PhysNode& node) {
   if (node.kind == PhysKind::kTbScan || node.kind == PhysKind::kIxScan) {
     return 1u << node.alias;
@@ -152,7 +146,7 @@ class PlanLowering {
     // The node's own predicates, minus those an inner scan holds itself.
     std::vector<QualComparison> preds;
     for (const QualComparison& p : node.preds) {
-      if ((MaskOf(p) & ~bound) != 0) continue;  // unevaluable here
+      if ((p.AliasMask() & ~bound) != 0) continue;  // unevaluable here
       if (scan_inner && Contains(right.preds, p)) continue;
       preds.push_back(p);
     }
@@ -180,7 +174,7 @@ class PlanLowering {
       // The hash join evaluates the TBSCAN's predicates on outer aliases.
       const uint32_t self = 1u << right.alias;
       for (const QualComparison& p : right.preds) {
-        const uint32_t m = MaskOf(p);
+        const uint32_t m = p.AliasMask();
         if ((m & ~self) != 0 && (m & ~bound) == 0) preds.push_back(p);
       }
     }
@@ -203,7 +197,7 @@ class PlanLowering {
     const int k = node.alias;
     std::vector<QualComparison> local;
     for (const QualComparison& p : node.preds) {
-      if ((MaskOf(p) & ~(1u << k)) == 0) local.push_back(p);
+      if ((p.AliasMask() & ~(1u << k)) == 0) local.push_back(p);
     }
     OpPtr in = doc_;
     if (node.kind == PhysKind::kTbScan && !local.empty()) {

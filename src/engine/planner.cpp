@@ -15,30 +15,12 @@ using opt::QualTerm;
 
 namespace {
 
-std::vector<int> AliasesOf(const QualComparison& p) { return p.Aliases(); }
-
-/// True iff all of p's aliases lie within `mask`.
-bool CoveredBy(const QualComparison& p, uint32_t mask) {
-  for (int a : AliasesOf(p)) {
-    if (!(mask & (1u << a))) return false;
-  }
-  return true;
-}
-
-bool Mentions(const QualComparison& p, int alias) {
-  for (int a : AliasesOf(p)) {
-    if (a == alias) return true;
-  }
-  return false;
-}
-
 // ---------------------------------------------------------------------------
 // Selectivity estimation.
 
 double PredSelectivity(const QualComparison& p, const Database& db) {
-  const auto aliases = AliasesOf(p);
   // Local predicate with a constant side.
-  if (aliases.size() == 1) {
+  if (__builtin_popcount(p.AliasMask()) == 1) {
     const QualTerm& col_side = p.lhs.IsConst() ? p.rhs : p.lhs;
     const QualTerm& const_side = p.lhs.IsConst() ? p.lhs : p.rhs;
     if (!const_side.IsConst() || !col_side.IsSimpleCol()) return 0.3;
@@ -103,18 +85,27 @@ struct AccessPath {
   const Database::Index* index = nullptr;  // null = table scan
   int eq_prefix = 0;
   bool has_range = false;
-  double selectivity = 1.0;  // of the index-applied portion
   double cost = 0.0;
-  std::vector<QualComparison> matched;   // served by the index probe
-  std::vector<QualComparison> residual;  // checked per fetched row
+  std::vector<int> matched;   // served by the index probe
+  std::vector<int> residual;  // checked per fetched row
 };
 
-/// Picks the best access path for `alias`, given conjuncts `applicable`
-/// (their other aliases are bound at probe time).
-AccessPath ChooseAccessPath(int alias,
-                            const std::vector<QualComparison>& applicable,
+/// Picks the best access path for `alias`, given the conjuncts
+/// `applicable` (indices into `preds`, whose selectivities are `sels`;
+/// their other aliases are bound at probe time).
+AccessPath ChooseAccessPath(int alias, const std::vector<int>& applicable,
+                            const std::vector<QualComparison>& preds,
+                            const std::vector<double>& sels,
                             const Database& db) {
   const double n = std::max<double>(1, static_cast<double>(db.row_count()));
+  // Each conjunct oriented to `alias` once, not once per index key column.
+  std::vector<CmpOp> ops;
+  std::vector<std::string> sarg_cols;
+  for (int i : applicable) {
+    QualComparison p = OrientTo(preds[static_cast<size_t>(i)], alias);
+    ops.push_back(p.op);
+    sarg_cols.push_back(SargColumn(p.lhs, alias));
+  }
   AccessPath best;
   best.cost = n;  // table scan
   best.residual = applicable;
@@ -123,19 +114,21 @@ AccessPath ChooseAccessPath(int alias,
     path.index = index.get();
     std::vector<bool> used(applicable.size(), false);
     double sel = 1.0;
+    auto use = [&](size_t i) {
+      used[i] = true;
+      path.matched.push_back(applicable[i]);
+      sel *= sels[static_cast<size_t>(applicable[i])];
+    };
     // Match an equality per key column, then one range.
     size_t k = 0;
     for (; k < index->def.key_columns.size(); ++k) {
       const std::string& key_col = index->def.key_columns[k];
       bool matched_eq = false;
       for (size_t i = 0; i < applicable.size(); ++i) {
-        if (used[i]) continue;
-        QualComparison p = OrientTo(applicable[i], alias);
-        if (p.op != CmpOp::kEq) continue;
-        if (SargColumn(p.lhs, alias) != key_col) continue;
-        used[i] = true;
-        path.matched.push_back(applicable[i]);
-        sel *= PredSelectivity(applicable[i], db);
+        if (used[i] || ops[i] != CmpOp::kEq || sarg_cols[i] != key_col) {
+          continue;
+        }
+        use(i);
         matched_eq = true;
         ++path.eq_prefix;
         break;
@@ -145,13 +138,11 @@ AccessPath ChooseAccessPath(int alias,
     if (k < index->def.key_columns.size()) {
       const std::string& key_col = index->def.key_columns[k];
       for (size_t i = 0; i < applicable.size(); ++i) {
-        if (used[i]) continue;
-        QualComparison p = OrientTo(applicable[i], alias);
-        if (p.op == CmpOp::kEq || p.op == CmpOp::kNe) continue;
-        if (SargColumn(p.lhs, alias) != key_col) continue;
-        used[i] = true;
-        path.matched.push_back(applicable[i]);
-        sel *= PredSelectivity(applicable[i], db);
+        if (used[i] || ops[i] == CmpOp::kEq || ops[i] == CmpOp::kNe ||
+            sarg_cols[i] != key_col) {
+          continue;
+        }
+        use(i);
         path.has_range = true;
       }
     }
@@ -159,7 +150,6 @@ AccessPath ChooseAccessPath(int alias,
     for (size_t i = 0; i < applicable.size(); ++i) {
       if (!used[i]) path.residual.push_back(applicable[i]);
     }
-    path.selectivity = sel;
     path.cost = 2.0 * std::log2(n + 1) + sel * n;
     if (path.cost < best.cost) best = std::move(path);
   }
@@ -180,7 +170,25 @@ class Planner {
  public:
   Planner(const JoinGraph& graph, const Database& db,
           const PlannerOptions& options)
-      : graph_(graph), db_(db), options_(options) {}
+      : graph_(graph), db_(db), options_(options) {
+    // Everything the enumeration asks of a predicate or an alias, computed
+    // once: the inner loops below are bit tests over these arrays.
+    for (const auto& p : graph_.predicates) {
+      masks_.push_back(p.AliasMask());
+      sels_.push_back(PredSelectivity(p, db_));
+    }
+    const size_t n = static_cast<size_t>(graph_.num_aliases);
+    base_rows_.assign(n, static_cast<double>(db_.row_count()));
+    neighbours_.assign(n, 0);
+    for (size_t i = 0; i < masks_.size(); ++i) {
+      for (uint32_t m = masks_[i]; m; m &= m - 1) {
+        const auto a = static_cast<size_t>(__builtin_ctz(m));
+        neighbours_[a] |= masks_[i] & ~(1u << a);
+        if (__builtin_popcount(masks_[i]) == 1) base_rows_[a] *= sels_[i];
+      }
+    }
+    for (double& rows : base_rows_) rows = std::max(1.0, rows);
+  }
 
   Result<PhysicalPlan> Plan() {
     const int n = graph_.num_aliases;
@@ -190,38 +198,43 @@ class Planner {
   }
 
  private:
-  double RowsOf(int alias) {
-    double rows = static_cast<double>(db_.row_count());
-    for (const auto& p : graph_.predicates) {
-      if (AliasesOf(p).size() == 1 && Mentions(p, alias)) {
-        rows *= PredSelectivity(p, db_);
-      }
-    }
-    return std::max(1.0, rows);
+  double RowsOf(int alias) const {
+    return base_rows_[static_cast<size_t>(alias)];
   }
 
-  /// Predicates fully evaluable once `mask` is bound and not evaluable on
-  /// either sub-mask alone.
-  std::vector<QualComparison> NewPreds(uint32_t mask, uint32_t left,
-                                       uint32_t right) {
-    std::vector<QualComparison> out;
-    for (const auto& p : graph_.predicates) {
-      if (!CoveredBy(p, mask)) continue;
-      if (CoveredBy(p, left) || CoveredBy(p, right)) continue;
-      out.push_back(p);
+  /// True iff predicate i is fully evaluable once `mask` is bound.
+  bool CoveredBy(size_t i, uint32_t mask) const {
+    return (masks_[i] & ~mask) == 0;
+  }
+
+  /// True iff predicate i becomes evaluable by joining `left` and `right`
+  /// (it is evaluable on neither side alone).
+  bool IsEdge(size_t i, uint32_t left, uint32_t right) const {
+    return CoveredBy(i, left | right) && !CoveredBy(i, left) &&
+           !CoveredBy(i, right);
+  }
+
+  /// Conjuncts on `alias` that are evaluable once `bound_mask` is bound.
+  std::vector<int> Applicable(int alias, uint32_t bound_mask) const {
+    const uint32_t self = 1u << alias;
+    std::vector<int> out;
+    for (size_t i = 0; i < masks_.size(); ++i) {
+      if ((masks_[i] & self) && CoveredBy(i, bound_mask | self)) {
+        out.push_back(static_cast<int>(i));
+      }
     }
     return out;
   }
 
+  std::vector<QualComparison> PredsAt(const std::vector<int>& idx) const {
+    std::vector<QualComparison> out;
+    for (int i : idx) out.push_back(graph_.predicates[static_cast<size_t>(i)]);
+    return out;
+  }
+
   SubPlan MakeScan(int alias, uint32_t bound_mask) {
-    std::vector<QualComparison> applicable;
-    for (const auto& p : graph_.predicates) {
-      if (Mentions(p, alias) &&
-          CoveredBy(p, bound_mask | (1u << alias))) {
-        applicable.push_back(p);
-      }
-    }
-    AccessPath path = ChooseAccessPath(alias, applicable, db_);
+    AccessPath path = ChooseAccessPath(alias, Applicable(alias, bound_mask),
+                                       graph_.predicates, sels_, db_);
     SubPlan plan;
     plan.mask = 1u << alias;
     auto node = std::make_unique<PhysNode>();
@@ -231,12 +244,12 @@ class Planner {
       node->index = path.index;
       node->eq_prefix = path.eq_prefix;
       node->has_range = path.has_range;
-      node->preds = path.matched;
-      node->preds.insert(node->preds.end(), path.residual.begin(),
-                         path.residual.end());
+      path.matched.insert(path.matched.end(), path.residual.begin(),
+                          path.residual.end());
+      node->preds = PredsAt(path.matched);
     } else {
       node->kind = PhysKind::kTbScan;
-      node->preds = path.residual;
+      node->preds = PredsAt(path.residual);
     }
     plan.rows = RowsOf(alias);
     plan.cost = path.cost;
@@ -248,39 +261,34 @@ class Planner {
 
   SubPlan Join(SubPlan left, SubPlan right, bool right_is_single) {
     const uint32_t mask = left.mask | right.mask;
-    std::vector<QualComparison> edge = NewPreds(mask, left.mask, right.mask);
-    double sel = 1.0;
-    for (const auto& p : edge) sel *= PredSelectivity(p, db_);
+    std::vector<int> edge;
+    double sel;
+    JoinEdge(left.mask, right.mask, &sel, &edge);
     double rows = std::max(1.0, left.rows * right.rows * sel);
     auto node = std::make_unique<PhysNode>();
+    node->preds = PredsAt(edge);
     bool has_eq = false;
-    for (const auto& p : edge) {
+    for (const auto& p : node->preds) {
       if (p.op == CmpOp::kEq) has_eq = true;
     }
     double cost;
     if (right_is_single) {
       // Index nested-loop: re-plan the inner scan with outer bindings.
-      int alias = 0;
-      while (!(right.mask & (1u << alias))) ++alias;
-      SubPlan inner = MakeScan(alias, left.mask);
+      SubPlan inner =
+          MakeScan(static_cast<int>(__builtin_ctz(right.mask)), left.mask);
       node->kind = PhysKind::kNlJoin;
       cost = left.cost + left.rows * inner.cost + rows;
       node->right = std::move(inner.node);
-      node->preds = std::move(edge);
-      node->left = std::move(left.node);
     } else if (has_eq) {
       node->kind = PhysKind::kHsJoin;
       cost = left.cost + right.cost + left.rows + right.rows + rows;
-      node->preds = std::move(edge);
-      node->left = std::move(left.node);
       node->right = std::move(right.node);
     } else {
       node->kind = PhysKind::kNlJoin;  // filter nested-loop
       cost = left.cost + right.cost + left.rows * right.rows;
-      node->preds = std::move(edge);
-      node->left = std::move(left.node);
       node->right = std::move(right.node);
     }
+    node->left = std::move(left.node);
     node->est_rows = rows;
     node->est_cost = cost;
     SubPlan out;
@@ -291,47 +299,38 @@ class Planner {
     return out;
   }
 
-  bool Connected(uint32_t a, uint32_t b) {
-    for (const auto& p : graph_.predicates) {
-      bool touches_a = false, touches_b = false;
-      for (int al : AliasesOf(p)) {
-        if (a & (1u << al)) touches_a = true;
-        if (b & (1u << al)) touches_b = true;
-      }
-      if (touches_a && touches_b && CoveredBy(p, a | b)) return true;
-    }
-    return false;
-  }
-
-  /// Analytic estimate of a parameterized scan's probe cost and the join
-  /// edge selectivity — no PhysNodes built. Memoized per (alias, mask).
-  struct ScanEst {
-    double cost;
-  };
+  /// Cost of the best access path for `alias` with `bound_mask` bound,
+  /// memoized. Only a neighbour can complete a predicate on `alias`, so
+  /// the bound aliases outside neighbours_[alias] do not change the answer
+  /// and are left out of the memo key.
   double ScanCost(int alias, uint32_t bound_mask) {
-    const uint64_t key =
-        (static_cast<uint64_t>(alias) << 32) | bound_mask;
+    const uint32_t bound = bound_mask & neighbours_[static_cast<size_t>(alias)];
+    const uint64_t key = (static_cast<uint64_t>(alias) << 32) | bound;
     auto it = scan_cost_memo_.find(key);
     if (it != scan_cost_memo_.end()) return it->second;
-    std::vector<QualComparison> applicable;
-    for (const auto& p : graph_.predicates) {
-      if (Mentions(p, alias) && CoveredBy(p, bound_mask | (1u << alias))) {
-        applicable.push_back(p);
-      }
-    }
-    double cost = ChooseAccessPath(alias, applicable, db_).cost;
+    double cost = ChooseAccessPath(alias, Applicable(alias, bound),
+                                   graph_.predicates, sels_, db_)
+                      .cost;
     scan_cost_memo_[key] = cost;
     return cost;
   }
 
-  double EdgeSelectivity(uint32_t mask, uint32_t left, uint32_t right) {
-    double sel = 1.0;
-    for (const auto& p : graph_.predicates) {
-      if (!CoveredBy(p, mask)) continue;
-      if (CoveredBy(p, left) || CoveredBy(p, right)) continue;
-      sel *= PredSelectivity(p, db_);
+  /// True iff some predicate joins the disjoint masks `left` and `right`
+  /// (IsEdge). `*sel` gets the product of those predicates'
+  /// selectivities, multiplied in predicate order so the cost doubles do
+  /// not depend on how the predicates are looked up; `edge`, if given,
+  /// gets their indices.
+  bool JoinEdge(uint32_t left, uint32_t right, double* sel,
+                std::vector<int>* edge = nullptr) const {
+    bool connected = false;
+    *sel = 1.0;
+    for (size_t i = 0; i < masks_.size(); ++i) {
+      if (!IsEdge(i, left, right)) continue;
+      connected = true;
+      *sel *= sels_[i];
+      if (edge) edge->push_back(static_cast<int>(i));
     }
-    return sel;
+    return connected;
   }
 
   struct DpEntry {
@@ -357,8 +356,8 @@ class Planner {
       for (uint32_t left = (mask - 1) & mask; left; left = (left - 1) & mask) {
         const uint32_t right = mask & ~left;
         if (!dp[left].valid || !dp[right].valid) continue;
-        if (!Connected(left, right)) continue;
-        const double sel = EdgeSelectivity(mask, left, right);
+        double sel;
+        if (!JoinEdge(left, right, &sel)) continue;
         const double rows =
             std::max(1.0, dp[left].rows * dp[right].rows * sel);
         double cost;
@@ -441,9 +440,8 @@ class Planner {
           pick = a;
           break;
         }
-        const bool connected = Connected(current.mask, 1u << a);
-        const double sel =
-            EdgeSelectivity(current.mask | (1u << a), current.mask, 1u << a);
+        double sel;
+        const bool connected = JoinEdge(current.mask, 1u << a, &sel);
         const double rows = std::max(1.0, current.rows * RowsOf(a) * sel);
         double cost = current.cost +
                       current.rows * ScanCost(a, current.mask) + rows +
@@ -463,34 +461,13 @@ class Planner {
     return plan;
   }
 
-  SubPlan ClonePlan(const SubPlan& plan) {
-    SubPlan copy;
-    copy.rows = plan.rows;
-    copy.cost = plan.cost;
-    copy.mask = plan.mask;
-    copy.node = CloneNode(plan.node.get());
-    return copy;
-  }
-
-  static std::unique_ptr<PhysNode> CloneNode(const PhysNode* node) {
-    if (!node) return nullptr;
-    auto copy = std::make_unique<PhysNode>();
-    copy->kind = node->kind;
-    copy->alias = node->alias;
-    copy->index = node->index;
-    copy->preds = node->preds;
-    copy->eq_prefix = node->eq_prefix;
-    copy->has_range = node->has_range;
-    copy->est_rows = node->est_rows;
-    copy->est_cost = node->est_cost;
-    copy->left = CloneNode(node->left.get());
-    copy->right = CloneNode(node->right.get());
-    return copy;
-  }
-
   const JoinGraph& graph_;
   const Database& db_;
   PlannerOptions options_;
+  std::vector<uint32_t> masks_;       // per predicate: AliasMask()
+  std::vector<double> sels_;          // per predicate: PredSelectivity
+  std::vector<double> base_rows_;     // per alias: rows after local preds
+  std::vector<uint32_t> neighbours_;  // per alias: aliases sharing a pred
   std::unordered_map<uint64_t, double> scan_cost_memo_;
 };
 

@@ -228,11 +228,7 @@ inline std::vector<BoundQualCmp> CompileQuals(
   std::vector<BoundQualCmp> out;
   out.reserve(preds.size());
   for (const auto& p : preds) {
-    bool evaluable = true;
-    for (int a : p.Aliases()) {
-      if (!(bound_mask & (1u << a))) evaluable = false;
-    }
-    if (!evaluable) continue;
+    if (p.AliasMask() & ~bound_mask) continue;
     if (params) {
       out.emplace_back(ResolveParams(p, params), db);
     } else {

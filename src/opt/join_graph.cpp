@@ -99,20 +99,12 @@ Value AdjustProbeValue(const QualTerm& sarg_side, Value v) {
   return Value::Double(v.AsDouble() - sarg_side.constant.AsDouble());
 }
 
-std::vector<int> QualComparison::Aliases() const {
-  std::vector<int> out;
-  auto add = [&](int a) {
-    if (a < 0) return;
-    for (int existing : out) {
-      if (existing == a) return;
-    }
-    out.push_back(a);
-  };
-  add(lhs.alias);
-  add(lhs.alias2);
-  add(rhs.alias);
-  add(rhs.alias2);
-  return out;
+uint32_t QualComparison::AliasMask() const {
+  uint32_t mask = 0;
+  for (int a : {lhs.alias, lhs.alias2, rhs.alias, rhs.alias2}) {
+    if (a >= 0 && a < 32) mask |= 1u << a;
+  }
+  return mask;
 }
 
 std::string QualComparison::ToString() const {
@@ -387,26 +379,27 @@ void UnifyKeyAliases(JoinGraph* jg) {
 /// interchangeable, so one of them (and its predicates) can be dropped.
 void MergeDuplicateSemijoinAliases(JoinGraph* jg) {
   if (!jg->distinct) return;
+  // Field tests, not AliasMask(): extraction runs before the planner's
+  // 31-alias limit is checked.
+  auto uses = [](const QualTerm& t, int a) {
+    return t.alias == a || t.alias2 == a;
+  };
+  auto mentions = [&](const QualComparison& p, int a) {
+    return uses(p.lhs, a) || uses(p.rhs, a);
+  };
   auto output_alias = [&](int a) {
-    auto uses = [&](const QualTerm& t) {
-      return t.alias == a || t.alias2 == a;
-    };
     for (const auto& t : jg->select_list) {
-      if (uses(t)) return true;
+      if (uses(t, a)) return true;
     }
     for (const auto& t : jg->order_by) {
-      if (uses(t)) return true;
+      if (uses(t, a)) return true;
     }
-    return uses(jg->item);
+    return uses(jg->item, a);
   };
   auto signature = [&](int a) {
     std::vector<std::string> sig;
     for (const auto& p : jg->predicates) {
-      bool mentions = false;
-      for (int x : p.Aliases()) {
-        if (x == a) mentions = true;
-      }
-      if (!mentions) continue;
+      if (!mentions(p, a)) continue;
       QualComparison copy = p;
       auto mask = [&](QualTerm* t) {
         if (t->alias == a) t->alias = 9999;  // placeholder for "self"
@@ -428,23 +421,14 @@ void MergeDuplicateSemijoinAliases(JoinGraph* jg) {
       // No predicate may connect i and j directly.
       bool connected = false;
       for (const auto& p : jg->predicates) {
-        bool has_i = false, has_j = false;
-        for (int x : p.Aliases()) {
-          if (x == i) has_i = true;
-          if (x == j) has_j = true;
-        }
-        if (has_i && has_j) connected = true;
+        if (mentions(p, i) && mentions(p, j)) connected = true;
       }
       if (connected) continue;
       if (signature(j) != sig_i) continue;
       dropped[static_cast<size_t>(j)] = true;
       std::vector<QualComparison> kept;
       for (auto& p : jg->predicates) {
-        bool mentions_j = false;
-        for (int x : p.Aliases()) {
-          if (x == j) mentions_j = true;
-        }
-        if (!mentions_j) kept.push_back(std::move(p));
+        if (!mentions(p, j)) kept.push_back(std::move(p));
       }
       jg->predicates = std::move(kept);
     }

@@ -5,6 +5,7 @@
 #ifndef XQJG_OPT_JOIN_GRAPH_H_
 #define XQJG_OPT_JOIN_GRAPH_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -40,8 +41,10 @@ struct QualComparison {
   algebra::CmpOp op = algebra::CmpOp::kEq;
   QualTerm rhs;
 
-  /// Aliases referenced (1 or 2 entries; local predicates reference 1).
-  std::vector<int> Aliases() const;
+  /// Bit a is set iff alias d<a> is referenced by any of the four column
+  /// parts (lhs.alias, lhs.alias2, rhs.alias, rhs.alias2). Aliases beyond
+  /// 31 do not fit and are left out: physical plans have at most 31.
+  uint32_t AliasMask() const;
   std::string ToString() const;
 };
 

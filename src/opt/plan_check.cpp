@@ -344,9 +344,9 @@ class PlanChecker {
         // aliases — that is exactly what a parameterized inner of an
         // NLJOIN does — so only alias validity is checked there, by
         // CheckTermRefs.)
-        for (int alias : p.Aliases()) {
-          if (alias >= 0 && alias < num_aliases_ &&
-              !(subtree_mask & (1u << alias))) {
+        const uint32_t outside = p.AliasMask() & ~subtree_mask;
+        for (int alias = 0; alias < num_aliases_ && alias < 32; ++alias) {
+          if (outside & (1u << alias)) {
             Report("pred-binding", Desc(node),
                    StrPrintf("join predicate %s references alias d%d, "
                              "which is not scanned in this join's "

@@ -79,6 +79,30 @@ TEST(DictColumn, AppendFromSharedDictionaryCopiesCodes) {
   EXPECT_EQ(dst.dict_codes()[1], src.dict_codes()[2]);
 }
 
+TEST(DictColumn, AppendFromIntoNullOnlyColumnKeepsTheDictionary) {
+  ValueColumn src = ValueColumn::DictStrings({"", "a", "b", "a"}, {1, 0, 0, 0});
+  ValueColumn dst;  // representation not decided yet
+  dst.AppendFrom(src, 0);
+  dst.AppendNull();
+  for (size_t row = 1; row < src.size(); ++row) dst.AppendFrom(src, row);
+  ASSERT_EQ(dst.tag(), ColumnTag::kDictString);
+  EXPECT_EQ(dst.dict_ptr(), src.dict_ptr());
+  ASSERT_EQ(dst.size(), 5u);
+  EXPECT_TRUE(dst.IsNull(0));
+  EXPECT_TRUE(dst.IsNull(1));
+  EXPECT_EQ(dst.GetValue(2).AsString(), "a");
+  EXPECT_EQ(dst.GetValue(3).AsString(), "b");
+  EXPECT_EQ(dst.GetValue(4).AsString(), "a");
+  EXPECT_EQ(dst.dict_codes()[4], src.dict_codes()[3]);
+  // A plain source still yields a plain column.
+  ValueColumn plain;
+  plain.AppendNull();
+  plain.AppendFrom(ValueColumn::Ints({7}), 0);
+  ASSERT_EQ(plain.tag(), ColumnTag::kInt);
+  EXPECT_TRUE(plain.IsNull(0));
+  EXPECT_EQ(plain.GetValue(1).AsInt(), 7);
+}
+
 TEST(DictColumn, AppendFromForeignColumnsStaysTyped) {
   ValueColumn plain = ValueColumn::Strings({"p", "q"});
   ValueColumn dict = ValueColumn::DictStrings({"a"});
