@@ -5,7 +5,9 @@
 
 #include <memory>
 
+#include "src/api/paper_queries.h"
 #include "src/api/processor.h"
+#include "src/data/xmark.h"
 #include "tests/testutil/fixtures.h"
 
 namespace xqjg::api {
@@ -372,6 +374,58 @@ TEST_F(ParameterizedQueryTest, StringParametersUseTheValueColumn) {
     auto empty = processor_.ExecuteAll(prepared.value(), exec);
     ASSERT_TRUE(empty.ok());
     EXPECT_EQ(empty.value().result_count(), 0u);
+  }
+}
+
+TEST_F(ParameterizedQueryTest, StringParameterReachesTheIndexProbe) {
+  // Q3 with its id as a string parameter: the join-graph plan probes the
+  // attribute B-tree with the bound string and tests each match's value
+  // against it, so a bound string crosses the index probe's predicates.
+  data::XmarkOptions xmark;
+  xmark.scale = 0.05;  // persons person0 .. person6
+  xmark.seed = 42;
+  ASSERT_TRUE(processor_
+                  .LoadDocument("auction.xml", data::GenerateXmark(xmark),
+                                XmarkSegmentTags())
+                  .ok());
+  ASSERT_TRUE(processor_.CreateRelationalIndexes().ok());
+  const std::string query =
+      "declare variable $id as xs:string external; "
+      "/site/people/person[@id = $id]/name/text()";
+  PrepareOptions options;
+  options.mode = Mode::kJoinGraph;
+  options.context_document = "auction.xml";
+  auto prepared = processor_.Prepare(query, options);
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+  EXPECT_TRUE(prepared.value()->has_plan);
+  options.mode = Mode::kNativeWhole;
+  auto native = processor_.Prepare(query, options);
+  ASSERT_TRUE(native.ok()) << native.status().ToString();
+
+  for (const char* id : {"person0", "person6", "person7", ""}) {
+    RunOptions run;
+    run.mode = Mode::kJoinGraph;
+    run.context_document = "auction.xml";
+    auto literal = processor_.Run(
+        std::string("/site/people/person[@id = \"") + id +
+            "\"]/name/text()",
+        run);
+    ASSERT_TRUE(literal.ok()) << literal.status().ToString();
+    const bool present = std::string(id) == "person0" ||
+                         std::string(id) == "person6";
+    EXPECT_EQ(literal.value().result_count(), present ? 1u : 0u) << id;
+    ExecuteOptions exec;
+    exec.parameters["id"] = Value::String(id);
+    auto oracle = processor_.ExecuteAll(native.value(), exec);
+    ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+    EXPECT_EQ(oracle.value().items, literal.value().items) << id;
+    for (int threads : {1, 8}) {
+      exec.threads = threads;
+      auto bound = processor_.ExecuteAll(prepared.value(), exec);
+      ASSERT_TRUE(bound.ok()) << bound.status().ToString();
+      EXPECT_EQ(bound.value().items, literal.value().items)
+          << id << " threads=" << threads;
+    }
   }
 }
 
