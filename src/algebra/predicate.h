@@ -97,12 +97,13 @@ struct Comparison {
   bool operator==(const Comparison& other) const;
 };
 
-/// Substitutes a bound Value for a parameter marker (counterpart of the
-/// join-graph ResolveParams in engine/qual_eval.h, for the stacked plan's
-/// algebra terms). With no bindings a marker keeps its NULL constant, so
-/// every comparison against it is false — the same contract as an unbound
-/// qualifier. Out-of-range slots also stay NULL (Execute validates the
-/// binding list before any executor runs).
+/// Substitutes a bound Value for a parameter marker. Every relational
+/// plan binds its parameters here: stacked and fallback plans, and
+/// join-graph plans, whose predicates are lowered to algebra terms
+/// (engine/columnar/plan_exec.h). With no bindings a marker keeps its
+/// NULL constant, so every comparison against it is false — the same
+/// contract as an unbound qualifier. Out-of-range slots also stay NULL
+/// (Execute validates the binding list before any executor runs).
 inline Term ResolveParams(Term t, const std::vector<Value>* params) {
   if (t.IsParam() && params && t.param < static_cast<int>(params->size())) {
     t.constant = (*params)[t.param];

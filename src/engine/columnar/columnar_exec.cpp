@@ -15,7 +15,6 @@
 #include "src/engine/columnar/column_batch.h"
 #include "src/engine/exec_stream.h"
 #include "src/engine/parallel/worker_pool.h"
-#include "src/engine/qual_eval.h"
 #include "src/engine/spill.h"
 #include "src/opt/plan_check.h"
 
@@ -27,6 +26,10 @@ using algebra::Op;
 using algebra::OpKind;
 using algebra::OpPtr;
 using algebra::Term;
+
+std::string AliasColumn(int alias, const std::string& col) {
+  return StrPrintf("d%d.%s", alias, col.c_str());
+}
 
 namespace {
 
@@ -155,8 +158,7 @@ inline bool IntPasses(int64_t a, CmpOp op, int64_t b) {
 
 /// Dictionary equality fast path: `dict_col = 'const'` (or ≠) over a left
 /// column compiles to the shared DictEqKernel (common/value_column.h — one
-/// uint32 compare per row, same kernel the index probe uses via
-/// qual_eval.h).
+/// uint32 compare per row).
 DictEqKernel FastDict(const BoundTerm& lhs, const BoundTerm& rhs, CmpOp op) {
   if (op != CmpOp::kEq && op != CmpOp::kNe) return {};
   auto single_dict_col = [](const BoundTerm& t) -> const ValueColumn* {
@@ -1413,14 +1415,16 @@ class DistinctStream final : public UnaryStream {
   std::unique_ptr<ExternalSorter> sorter_;
 };
 
-/// Index probes of one kIxScan, with the access path compiled by
-/// engine/qual_eval.h. Under a nested loop the stream probes once per
-/// outer row, one outer window at a time, and emits each match as the
-/// outer row's columns beside the scanned alias's π columns, gathered
-/// from the doc relation; a leaf is the same over one empty outer row.
-/// Matches come out in outer-row order, then index order. The parallel
-/// path probes morsels of outer rows and concatenates them in morsel
-/// order, so the output is the same at every worker count.
+/// Index probes of one kIxScan. Under a nested loop the stream probes
+/// once per outer row, one outer window at a time, and emits each match
+/// as the outer row's columns beside the scanned alias's π columns,
+/// gathered from the doc relation; a leaf is the same over one empty
+/// outer row. Per window the probe's comparisons compile with CompileCmp
+/// over (doc relation, outer window), so a match is the doc row of its
+/// pre rank on the left and the outer row on the right. Matches come out
+/// in outer-row order, then index order. The parallel path probes
+/// morsels of outer rows and concatenates them in morsel order, so the
+/// output is the same at every worker count.
 class IndexProbeStream final : public BatchStream {
  public:
   IndexProbeStream(PipelineCtx* ctx, const Op* op, const IndexProbe& probe,
@@ -1435,22 +1439,18 @@ class IndexProbeStream final : public BatchStream {
     if (primed_) return Status::OK();
     primed_ = true;
     XQJG_RETURN_NOT_OK(ctx_->clock.CheckDeadline());
+    // The doc relation under the scanned alias's names (shared columns).
     const Database& db = *ctx_->db;
-    const int alias = probe_.scan->alias;
-    uint32_t outer_mask = 0;
-    size_t num_aliases = static_cast<size_t>(alias) + 1;
-    for (const auto& outer : probe_.outer_pres) {
-      outer_mask |= 1u << outer.first;
-      num_aliases =
-          std::max(num_aliases, static_cast<size_t>(outer.first) + 1);
+    const std::vector<std::string>& cols = algebra::DocColumns();
+    doc_.num_rows = static_cast<size_t>(db.row_count());
+    for (size_t c = 0; c < cols.size(); ++c) {
+      doc_.schema.push_back(AliasColumn(probe_.scan->alias, cols[c]));
+      doc_.cols.push_back(db.ColumnPtr(static_cast<int>(c)));
     }
-    outer_pres_.assign(num_aliases, nullptr);
-    scan_ = CompileScan(*probe_.scan, db, outer_mask, ctx_->params);
-    residual_ = CompileQuals(probe_.residual, db, outer_mask | (1u << alias),
-                             ctx_->params);
     for (const auto& [name, src] : inner_->proj) {
-      (void)name;
-      inner_cols_.push_back(db.ColumnPtr(db.ColumnIndex(src)));
+      (void)src;
+      inner_cols_.push_back(doc_.cols[static_cast<size_t>(
+          doc_.ColumnIndex(name))]);
     }
     return outer_ ? outer_->Prime() : Status::OK();
   }
@@ -1494,27 +1494,42 @@ class IndexProbeStream final : public BatchStream {
   }
 
  private:
-  /// Row view for the compiled qualifiers: alias → pre rank, with the
-  /// probed alias answering the candidate's pre (-1: unbound).
-  struct ProbeRow {
-    const std::vector<const int64_t*>* pres;  ///< outer pre columns
-    size_t row;                               ///< physical outer row
-    int alias;
-    int64_t pre;
-
-    int64_t operator()(int a) const {
-      if (a == alias) return pre;
-      const auto idx = static_cast<size_t>(a);
-      const int64_t* col = idx < pres->size() ? (*pres)[idx] : nullptr;
-      return col ? col[row] : -1;
+  /// The B-tree range of (physical) outer row `orow`. Returns false when
+  /// a probe value is NULL: NULL never matches, so the scan is empty.
+  bool BuildProbeRange(size_t orow, KeyRange* range) const {
+    // The key term's constant k turns `key + k OP v` into `key OP v - k`.
+    auto value = [orow](const CompiledCmp& c) {
+      return opt::AdjustProbeValue(c.lhs.constant, TermValue(c.rhs, 0, orow));
+    };
+    for (const CompiledCmp& c : eq_) {
+      Value v = value(c);
+      if (v.is_null()) return false;
+      range->lower.push_back(v);
+      range->upper.push_back(std::move(v));
     }
-  };
-
-  static bool AllPass(const std::vector<BoundQualCmp>& cmps,
-                      const ProbeRow& row) {
-    for (const BoundQualCmp& c : cmps) {
-      if (!c.Test(row)) return false;
+    // The tightest bound on each side; on a tie the strict one wins.
+    bool have_lo = false, have_hi = false;
+    Value lo, hi;
+    for (const CompiledCmp& c : range_) {
+      Value v = value(c);
+      if (v.is_null()) return false;
+      const bool strict = c.op == CmpOp::kLt || c.op == CmpOp::kGt;
+      if (c.op == CmpOp::kLt || c.op == CmpOp::kLe) {
+        if (!have_hi || v.SortLess(hi) || (strict && !hi.SortLess(v))) {
+          hi = std::move(v);
+          range->upper_inclusive = !strict;
+        }
+        have_hi = true;
+      } else {
+        if (!have_lo || lo.SortLess(v) || (strict && !v.SortLess(lo))) {
+          lo = std::move(v);
+          range->lower_inclusive = !strict;
+        }
+        have_lo = true;
+      }
     }
+    if (have_lo) range->lower.push_back(std::move(lo));
+    if (have_hi) range->upper.push_back(std::move(hi));
     return true;
   }
 
@@ -1523,16 +1538,15 @@ class IndexProbeStream final : public BatchStream {
   /// clock, or a morsel's worker clock.
   Status Probe(size_t orow, BudgetClock* clock, std::vector<uint32_t>* orows,
                std::vector<int64_t>* pres) {
-    ProbeRow row{&outer_pres_, orow, -1, -1};
     KeyRange range;
-    if (!BuildProbeRange(scan_, row, &range)) {
-      return Status::OK();  // NULL probe value never matches
-    }
-    row.alias = probe_.scan->alias;
+    if (!BuildProbeRange(orow, &range)) return Status::OK();
     bool expired = false, over_rows = false;
     probe_.scan->index->tree.Scan(range, [&](const Key&, int64_t pre) {
-      row.pre = pre;
-      if (AllPass(scan_.row_preds, row) && AllPass(residual_, row)) {
+      const auto doc_row = static_cast<size_t>(pre);
+      if (std::all_of(filter_.begin(), filter_.end(),
+                      [&](const CompiledCmp& c) {
+                        return CmpPasses(c, doc_row, orow);
+                      })) {
         orows->push_back(static_cast<uint32_t>(orow));
         pres->push_back(pre);
       }
@@ -1557,13 +1571,16 @@ class IndexProbeStream final : public BatchStream {
     if (in.num_rows > kMaxBatchRows) {
       return Status::Internal("probe input exceeds batch row limit");
     }
-    for (const auto& [a, idx] : probe_.outer_pres) {
-      const ValueColumn& col = *in.cols[static_cast<size_t>(idx)];
-      if (col.tag() != ColumnTag::kInt || col.has_nulls()) {
-        return Status::Internal("probe outer pre column is not int64");
+    auto compile = [&](const std::vector<Comparison>& cmps,
+                       std::vector<CompiledCmp>* out) {
+      out->clear();
+      for (const Comparison& cmp : cmps) {
+        out->push_back(CompileCmp(cmp, doc_, in, ctx_->params));
       }
-      outer_pres_[static_cast<size_t>(a)] = col.ints().data();
-    }
+    };
+    compile(probe_.filter.conjuncts, &filter_);
+    compile(probe_.eq, &eq_);
+    compile(probe_.range, &range_);
     const size_t n = in.num_rows;
     if (ctx_->threads > 1 && n >= kParallelProbeCutoff) {
       const size_t morsels = MorselCount(n, kMorselProbeRows);
@@ -1611,10 +1628,10 @@ class IndexProbeStream final : public BatchStream {
   std::unique_ptr<BatchStream> outer_;  ///< null for a leaf
   bool primed_ = false;
   bool leaf_done_ = false;
-  CompiledScan scan_;
-  std::vector<BoundQualCmp> residual_;
-  std::vector<const int64_t*> outer_pres_;  ///< per alias, per window
+  ColumnBatch doc_;  ///< the doc relation, columns named d<k>.<col>
   std::vector<ColumnRef> inner_cols_;
+  /// probe_'s comparisons, compiled for the current outer window.
+  std::vector<CompiledCmp> filter_, eq_, range_;
 };
 
 // ---------------------------------------------------------------------------

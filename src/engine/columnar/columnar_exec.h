@@ -54,18 +54,28 @@ Result<std::unique_ptr<SequenceStream>> OpenSequenceStreamColumnar(
     const algebra::OpPtr& plan, const xml::DocTable& doc,
     const ExecOptions& options);
 
+/// Column `col` of doc alias `alias` in a lowered join-graph plan:
+/// "d<alias>.<col>".
+std::string AliasColumn(int alias, const std::string& col);
+
 /// A B-tree access path inside a lowered join-graph plan: the hinted op
-/// runs as index probes of `scan` (kIxScan), which applies the scan's
-/// predicates. A hinted π(doc) leaf probes once; a hinted × (outer,
-/// π(doc)) probes once per outer row and emits outer ++ π columns. The
-/// π's projection names the scanned alias's output columns.
+/// runs as index probes of `scan` (kIxScan). A hinted π(doc) leaf probes
+/// once; a hinted × (outer, π(doc)) probes once per outer row and emits
+/// outer ++ π columns. The π's projection names the scanned alias's
+/// output columns. The comparisons name columns d<k>.<col>; the probe
+/// compiles them like σ and the hash join do, with the doc relation
+/// under the scanned alias's names on the left and the outer window on
+/// the right, which carries every outer column they read.
 struct IndexProbe {
   const PhysNode* scan = nullptr;
-  /// Outer aliases bound at the probe and the positions of their
-  /// pre-rank columns in the outer input (empty for a leaf probe).
-  std::vector<std::pair<int, int>> outer_pres;
-  /// Join predicates checked per match beyond scan->preds.
-  std::vector<opt::QualComparison> residual;
+  /// Checked on each B-tree match: the scan's predicates evaluable at the
+  /// probe, and the nested loop's residual.
+  algebra::Predicate filter;
+  /// The probe range. Each comparison has the scanned alias's key term on
+  /// the left and a term over outer columns or constants on the right:
+  /// `eq` binds a prefix of the index key columns, one each, and `range`
+  /// bounds the key column after it.
+  std::vector<algebra::Comparison> eq, range;
 };
 
 /// A join-graph plan lowered onto the pipeline (columnar/plan_exec.h):

@@ -1,17 +1,16 @@
 #include "src/engine/columnar/plan_exec.h"
 
-#include <algorithm>
 #include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "src/algebra/operators.h"
-#include "src/common/str.h"
 #include "src/engine/columnar/columnar_exec.h"
 
 namespace xqjg::engine::columnar {
 
+using algebra::Comparison;
 using algebra::OpPtr;
 using algebra::Predicate;
 using algebra::Term;
@@ -19,11 +18,6 @@ using opt::QualComparison;
 using opt::QualTerm;
 
 namespace {
-
-/// Column `col` of doc alias `alias` in the lowered plan: "d<alias>.col".
-std::string AliasColumn(int alias, const std::string& col) {
-  return StrPrintf("d%d.%s", alias, col.c_str());
-}
 
 uint32_t MaskOf(const PhysNode& node) {
   if (node.kind == PhysKind::kTbScan || node.kind == PhysKind::kIxScan) {
@@ -48,10 +42,14 @@ Term ToTerm(const QualTerm& t, bool local) {
   return out;
 }
 
+Comparison ToComparison(const QualComparison& p, bool local) {
+  return {ToTerm(p.lhs, local), p.op, ToTerm(p.rhs, local)};
+}
+
 Predicate ToPredicate(const std::vector<QualComparison>& preds, bool local) {
   Predicate out;
   for (const QualComparison& p : preds) {
-    out.conjuncts.push_back({ToTerm(p.lhs, local), p.op, ToTerm(p.rhs, local)});
+    out.conjuncts.push_back(ToComparison(p, local));
   }
   return out;
 }
@@ -133,7 +131,7 @@ class PlanLowering {
     if (node.kind == PhysKind::kTbScan || node.kind == PhysKind::kIxScan) {
       OpPtr leaf = Scan(node, needed);
       if (node.kind == PhysKind::kIxScan) {
-        out_->probes[leaf.get()].scan = &node;
+        out_->probes[leaf.get()] = Probe(node, 0, {});
       }
       return leaf;
     }
@@ -151,21 +149,13 @@ class PlanLowering {
       preds.push_back(p);
     }
     if (scan_inner && right.kind == PhysKind::kIxScan) {
-      // Index nested loop: the probe evaluates its predicates against the
-      // doc relation through the outer pre ranks; algebra above reads
-      // only what `needed` names.
-      XQJG_ASSIGN_OR_RETURN(OpPtr outer, LowerNode(*node.left, needed));
-      IndexProbe probe;
-      probe.scan = &right;
-      const std::vector<std::string>& schema = outer->schema;
-      for (int a = 0; a < 32; ++a) {
-        if (!(outer_mask & (1u << a))) continue;
-        // Every lowered input carries the pre rank of each of its aliases.
-        const auto it =
-            std::find(schema.begin(), schema.end(), AliasColumn(a, "pre"));
-        probe.outer_pres.emplace_back(a, static_cast<int>(it - schema.begin()));
-      }
-      probe.residual = std::move(preds);
+      // Index nested loop: the outer input carries every outer column the
+      // probe's predicates read, as the hash join's inputs do for its
+      // predicates.
+      IndexProbe probe = Probe(right, outer_mask, preds);
+      std::set<std::string> outer_needed = needed;
+      AddColumns(probe.filter, &outer_needed);
+      XQJG_ASSIGN_OR_RETURN(OpPtr outer, LowerNode(*node.left, outer_needed));
       OpPtr join = algebra::MakeCross(std::move(outer), Scan(right, needed));
       out_->probes[join.get()] = std::move(probe);
       return join;
@@ -189,6 +179,61 @@ class PlanLowering {
       XQJG_ASSIGN_OR_RETURN(inner, LowerNode(right, child_needed));
     }
     return algebra::MakeJoin(std::move(left), std::move(inner), pred);
+  }
+
+  /// The index probe of `scan` (kIxScan) with the aliases of `outer_mask`
+  /// bound. Its filter holds the scan's predicates evaluable there, then
+  /// `residual`; its range bounds are the sargable ones, matched to the
+  /// index key columns: an equality per key column while they last, then
+  /// the range comparisons on the next key column.
+  static IndexProbe Probe(const PhysNode& scan, uint32_t outer_mask,
+                          const std::vector<QualComparison>& residual) {
+    const int k = scan.alias;
+    IndexProbe probe;
+    probe.scan = &scan;
+    std::vector<QualComparison> filter;
+    std::vector<QualComparison> oriented;
+    std::vector<std::string> sarg;
+    for (const QualComparison& p : scan.preds) {
+      if ((p.AliasMask() & ~(outer_mask | (1u << k))) != 0) continue;
+      filter.push_back(p);
+      oriented.push_back(opt::OrientTo(p, k));
+      sarg.push_back(opt::SargColumn(oriented.back().lhs, k));
+    }
+    filter.insert(filter.end(), residual.begin(), residual.end());
+    probe.filter = ToPredicate(filter, /*local=*/false);
+    std::vector<char> used(oriented.size(), 0);
+    auto usable = [&](size_t i, const std::string& key_col) {
+      const QualTerm& rhs = oriented[i].rhs;
+      for (int a : {rhs.alias, rhs.alias2}) {
+        if (a >= 0 && !(outer_mask & (1u << a))) return false;
+      }
+      return !used[i] && sarg[i] == key_col;
+    };
+    auto bind = [&](size_t i, std::vector<Comparison>* out) {
+      used[i] = 1;
+      out->push_back(ToComparison(oriented[i], /*local=*/false));
+    };
+    for (const std::string& key_col : scan.index->def.key_columns) {
+      size_t i = 0;
+      while (i < oriented.size() && (oriented[i].op != algebra::CmpOp::kEq ||
+                                     !usable(i, key_col))) {
+        ++i;
+      }
+      if (i < oriented.size()) {
+        bind(i, &probe.eq);
+        continue;
+      }
+      for (i = 0; i < oriented.size(); ++i) {
+        const algebra::CmpOp op = oriented[i].op;
+        if (op != algebra::CmpOp::kEq && op != algebra::CmpOp::kNe &&
+            usable(i, key_col)) {
+          bind(i, &probe.range);
+        }
+      }
+      break;
+    }
+    return probe;
   }
 
   /// π[d<k>.pre, needed d<k>.<col>…](σ[local predicates](doc)). An index

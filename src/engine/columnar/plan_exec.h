@@ -8,7 +8,11 @@
 // predicates become σ over the doc relation. HSJOIN, and NLJOIN over
 // TBSCAN, become the pipeline's hash join (column equalities are the
 // keys, the other predicates residual). IXSCAN, as a leaf or as the
-// inner side of NLJOIN, becomes the pipeline's index-probe operator. The
+// inner side of NLJOIN, becomes the pipeline's index-probe operator;
+// lowering also gives it its predicates as algebra over d<k>.<col>
+// names — a filter checked per B-tree match, and the range bounds
+// matched to the index key columns — so that, like the hash join's
+// inputs, the outer input carries the outer columns they read. The
 // tail is δ over the select list (DISTINCT only), then the serialize
 // sort by (ORDER BY terms…, item).
 //

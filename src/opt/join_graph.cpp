@@ -89,14 +89,13 @@ std::string SargColumn(const QualTerm& t, int alias) {
   return "";
 }
 
-Value AdjustProbeValue(const QualTerm& sarg_side, Value v) {
-  if (sarg_side.constant.is_null() || v.is_null()) return v;
-  if (!v.IsNumeric() || !sarg_side.constant.IsNumeric()) return Value::Null();
-  if (v.type() == ValueType::kInt &&
-      sarg_side.constant.type() == ValueType::kInt) {
-    return Value::Int(v.AsInt() - sarg_side.constant.AsInt());
+Value AdjustProbeValue(const Value& sarg_constant, Value v) {
+  if (sarg_constant.is_null() || v.is_null()) return v;
+  if (!v.IsNumeric() || !sarg_constant.IsNumeric()) return Value::Null();
+  if (v.type() == ValueType::kInt && sarg_constant.type() == ValueType::kInt) {
+    return Value::Int(v.AsInt() - sarg_constant.AsInt());
   }
-  return Value::Double(v.AsDouble() - sarg_side.constant.AsDouble());
+  return Value::Double(v.AsDouble() - sarg_constant.AsDouble());
 }
 
 uint32_t QualComparison::AliasMask() const {

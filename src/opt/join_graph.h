@@ -82,9 +82,9 @@ QualComparison OrientTo(const QualComparison& p, int alias);
 /// not sargable (empty).
 std::string SargColumn(const QualTerm& t, int alias);
 
-/// Probe value for `col_term OP other`: when the sarg side carries a
-/// numeric constant k (col + k OP v), the probe compares col OP v - k.
-Value AdjustProbeValue(const QualTerm& sarg_side, Value v);
+/// Probe value for `col_term OP other`, given the sarg side's constant:
+/// when it is a number k (col + k OP v), the probe compares col OP v - k.
+Value AdjustProbeValue(const Value& sarg_constant, Value v);
 
 /// Flattens the isolated plan into a JoinGraph. Fails with NotSupported if
 /// blocking operators remain outside the plan tail (plan not isolatable —
