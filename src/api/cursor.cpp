@@ -92,8 +92,7 @@ Status ResultCursor::EnsureExecuted() {
                          pq.lowered, *cat.relational_db(),
                          RelationalOptions()));
       } else {
-        // Residual blocking operators: execute the isolated DAG directly
-        // (Prepare rejected parameters for it, so none are bound).
+        // Residual blocking operators: execute the isolated DAG directly.
         XQJG_ASSIGN_OR_RETURN(
             stream_, engine::columnar::OpenSequenceStreamColumnar(
                          pq.isolated, *cat.doc_table(), RelationalOptions()));

@@ -427,11 +427,6 @@ Result<std::shared_ptr<const PreparedQuery>> XQueryProcessor::PrepareUncached(
     // Residual blocking operators (deeply nested FLWOR): execution will
     // run the isolated DAG directly — still drastically fewer blocking
     // operators than the stacked plan (see DESIGN.md).
-    if (!out->parameters.empty()) {
-      return Status::NotSupported(
-          "external parameters require an isolatable join-graph plan: " +
-          graph.status().ToString());
-    }
     out->used_fallback = true;
     auto sql = sql::EmitStackedCte(out->isolated);
     if (sql.ok()) out->sql = sql.value();

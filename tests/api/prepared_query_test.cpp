@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 
 #include "src/api/paper_queries.h"
 #include "src/api/processor.h"
@@ -296,6 +297,19 @@ class ParameterizedQueryTest : public PreparedQueryTest {
       "declare variable $minprice as xs:decimal external; "
       "//item[price > $minprice]/name";
 
+  /// Loads the XMark document the paper queries read (persons person0 ..
+  /// person6) and rebuilds the B-trees.
+  void LoadAuction() {
+    data::XmarkOptions xmark;
+    xmark.scale = 0.05;
+    xmark.seed = 42;
+    ASSERT_TRUE(processor_
+                    .LoadDocument("auction.xml", data::GenerateXmark(xmark),
+                                  XmarkSegmentTags())
+                    .ok());
+    ASSERT_TRUE(processor_.CreateRelationalIndexes().ok());
+  }
+
   static Result<RunResult> Bind(XQueryProcessor& processor,
                                 const std::shared_ptr<const PreparedQuery>& pq,
                                 Value v, int threads = 1) {
@@ -381,14 +395,7 @@ TEST_F(ParameterizedQueryTest, StringParameterReachesTheIndexProbe) {
   // Q3 with its id as a string parameter: the join-graph plan probes the
   // attribute B-tree with the bound string and tests each match's value
   // against it, so a bound string crosses the index probe's predicates.
-  data::XmarkOptions xmark;
-  xmark.scale = 0.05;  // persons person0 .. person6
-  xmark.seed = 42;
-  ASSERT_TRUE(processor_
-                  .LoadDocument("auction.xml", data::GenerateXmark(xmark),
-                                XmarkSegmentTags())
-                  .ok());
-  ASSERT_TRUE(processor_.CreateRelationalIndexes().ok());
+  ASSERT_NO_FATAL_FAILURE(LoadAuction());
   const std::string query =
       "declare variable $id as xs:string external; "
       "/site/people/person[@id = $id]/name/text()";
@@ -427,6 +434,50 @@ TEST_F(ParameterizedQueryTest, StringParameterReachesTheIndexProbe) {
           << id << " threads=" << threads;
     }
   }
+}
+
+TEST_F(ParameterizedQueryTest, FallbackPlansTakeParameters) {
+  // Q2 does not extract to a join graph, so join-graph mode runs its
+  // isolated plan, which binds the parameter like a stacked plan does.
+  ASSERT_NO_FATAL_FAILURE(LoadAuction());
+  const std::string query =
+      "declare variable $p as xs:decimal external; "
+      "let $a := doc(\"auction.xml\") "
+      "for $ca in $a//closed_auction[price > $p], "
+      "    $i in $a//item, "
+      "    $c in $a//category "
+      "where $ca/itemref/@item = $i/@id "
+      "  and $i/incategory/@category = $c/@id "
+      "return $c/name";
+  PrepareOptions options;
+  options.mode = Mode::kJoinGraph;
+  auto prepared = processor_.Prepare(query, options);
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+  EXPECT_TRUE(prepared.value()->used_fallback);
+  EXPECT_FALSE(prepared.value()->has_plan);
+  options.mode = Mode::kNativeWhole;
+  auto native = processor_.Prepare(query, options);
+  ASSERT_TRUE(native.ok()) << native.status().ToString();
+
+  std::set<size_t> counts;
+  for (double p : {10.0, 50.0, 100.0, 2000.0}) {
+    ExecuteOptions exec;
+    exec.parameters["p"] = Value::Double(p);
+    auto oracle = processor_.ExecuteAll(native.value(), exec);
+    ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+    counts.insert(oracle.value().result_count());
+    for (int threads : {1, 8}) {
+      exec.threads = threads;
+      auto bound = processor_.ExecuteAll(prepared.value(), exec);
+      ASSERT_TRUE(bound.ok()) << bound.status().ToString();
+      EXPECT_EQ(bound.value().items, oracle.value().items)
+          << "p=" << p << " threads=" << threads;
+    }
+  }
+  // 22, 12, 7 and 0 rows: every binding selects a different result, and
+  // 2000 is above every closing price.
+  EXPECT_EQ(counts.size(), 4u);
+  EXPECT_EQ(counts.count(0u), 1u);
 }
 
 TEST_F(ParameterizedQueryTest, BindingsAreValidated) {
