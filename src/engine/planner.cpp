@@ -437,8 +437,14 @@ class Planner {
       for (int a = 0; a < n; ++a) {
         if (joined[static_cast<size_t>(a)]) continue;
         if (options_.syntactic_order) {
-          pick = a;
-          break;
+          // The lowest-numbered alias joined to the plan by a predicate;
+          // the lowest-numbered one only when none is (a cross product).
+          if (pick < 0) pick = a;
+          if (neighbours_[static_cast<size_t>(a)] & current.mask) {
+            pick = a;
+            break;
+          }
+          continue;
         }
         double sel;
         const bool connected = JoinEdge(current.mask, 1u << a, &sel);
