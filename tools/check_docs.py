@@ -10,6 +10,11 @@
    free names snippets conventionally use, e.g. `query`) and compiled
    with `-fsyntax-only` against the real headers, so the README can
    never drift from the actual API.
+3. Source path check: every backticked token outside fenced blocks that
+   contains a `/` and ends in `.h`, `.cpp`, `.py` or `.*` (e.g.
+   `columnar/plan_exec.h`, `engine/spill.*`) must glob to an existing
+   file under the repo root, `src/` or `src/engine/`, so the docs never
+   name a source file that was moved or deleted.
 
 Exit status 0 iff everything passes. No third-party dependencies.
 """
@@ -24,6 +29,9 @@ import tempfile
 
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 FENCE_RE = re.compile(r"^```(\w*)\s*$")
+CODE_SPAN_RE = re.compile(r"`([^`\s]+)`")
+SOURCE_SUFFIXES = (".h", ".cpp", ".py", ".*")
+SOURCE_BASES = ("", "src", os.path.join("src", "engine"))
 
 # The wrapper TU every ```cpp snippet is compiled inside. The preamble
 # declares the free variables snippets use by convention; snippets that
@@ -71,6 +79,34 @@ def check_links(md_path, repo_root):
                     errors.append(
                         f"{rel}:{lineno}: broken link '{target}' "
                         f"(no such file: {os.path.relpath(resolved, repo_root)})"
+                    )
+    return errors
+
+
+def check_source_paths(md_path, repo_root):
+    errors = []
+    with open(md_path, encoding="utf-8") as f:
+        in_fence = False
+        for lineno, line in enumerate(f, 1):
+            if FENCE_RE.match(line):
+                in_fence = not in_fence
+                continue
+            if in_fence:
+                continue
+            for token in CODE_SPAN_RE.findall(line):
+                if "/" not in token or not token.endswith(SOURCE_SUFFIXES):
+                    continue
+                if not any(
+                    os.path.isfile(match)
+                    for base in SOURCE_BASES
+                    for match in glob.glob(
+                        os.path.join(repo_root, base, token), recursive=True
+                    )
+                ):
+                    rel = os.path.relpath(md_path, repo_root)
+                    errors.append(
+                        f"{rel}:{lineno}: stale source path '{token}' (no "
+                        f"match under ., src/ or src/engine/)"
                     )
     return errors
 
@@ -149,6 +185,7 @@ def main():
     for md in docs:
         print(f"checking {os.path.relpath(md, args.repo_root)}")
         errors += check_links(md, args.repo_root)
+        errors += check_source_paths(md, args.repo_root)
         if not args.skip_compile:
             errors += compile_snippets(md, args.repo_root, args.compiler)
     if errors:
