@@ -191,44 +191,38 @@ class PlanLowering {
     const int k = scan.alias;
     IndexProbe probe;
     probe.scan = &scan;
-    std::vector<QualComparison> filter;
     std::vector<QualComparison> oriented;
     std::vector<std::string> sarg;
     for (const QualComparison& p : scan.preds) {
       if ((p.AliasMask() & ~(outer_mask | (1u << k))) != 0) continue;
-      filter.push_back(p);
+      probe.filter.conjuncts.push_back(ToComparison(p, /*local=*/false));
       oriented.push_back(opt::OrientTo(p, k));
       sarg.push_back(opt::SargColumn(oriented.back().lhs, k));
     }
-    filter.insert(filter.end(), residual.begin(), residual.end());
-    probe.filter = ToPredicate(filter, /*local=*/false);
-    std::vector<char> used(oriented.size(), 0);
-    auto usable = [&](size_t i, const std::string& key_col) {
-      const QualTerm& rhs = oriented[i].rhs;
-      for (int a : {rhs.alias, rhs.alias2}) {
-        if (a >= 0 && !(outer_mask & (1u << a))) return false;
-      }
-      return !used[i] && sarg[i] == key_col;
-    };
-    auto bind = [&](size_t i, std::vector<Comparison>* out) {
-      used[i] = 1;
-      out->push_back(ToComparison(oriented[i], /*local=*/false));
-    };
+    probe.filter.And(ToPredicate(residual, /*local=*/false));
     for (const std::string& key_col : scan.index->def.key_columns) {
+      // Key column op a term over outer aliases and constants.
+      auto usable = [&](size_t i) {
+        const QualTerm& rhs = oriented[i].rhs;
+        for (int a : {rhs.alias, rhs.alias2}) {
+          if (a >= 0 && !(outer_mask & (1u << a))) return false;
+        }
+        return sarg[i] == key_col;
+      };
       size_t i = 0;
-      while (i < oriented.size() && (oriented[i].op != algebra::CmpOp::kEq ||
-                                     !usable(i, key_col))) {
+      while (i < oriented.size() &&
+             (oriented[i].op != algebra::CmpOp::kEq || !usable(i))) {
         ++i;
       }
       if (i < oriented.size()) {
-        bind(i, &probe.eq);
+        probe.eq.push_back(ToComparison(oriented[i], /*local=*/false));
         continue;
       }
       for (i = 0; i < oriented.size(); ++i) {
         const algebra::CmpOp op = oriented[i].op;
         if (op != algebra::CmpOp::kEq && op != algebra::CmpOp::kNe &&
-            usable(i, key_col)) {
-          bind(i, &probe.range);
+            usable(i)) {
+          probe.range.push_back(ToComparison(oriented[i], /*local=*/false));
         }
       }
       break;

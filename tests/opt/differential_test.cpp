@@ -134,6 +134,8 @@ INSTANTIATE_TEST_SUITE_P(
         "doc(\"auction.xml\")//person[@id = \"person3\"]/name",
         "doc(\"auction.xml\")//item[incategory and quantity]/name",
         "doc(\"auction.xml\")//open_auction[bidder/increase > 30]",
+        // two upper bounds on one key column, the inclusive one tighter
+        "doc(\"auction.xml\")//quantity[. <= 2 and . < 4]",
         // nested FLWOR / let / where
         "for $a in doc(\"auction.xml\")//open_auction "
         "return $a/bidder/time",
