@@ -1448,9 +1448,8 @@ class IndexProbeStream final : public BatchStream {
       doc_.cols.push_back(db.ColumnPtr(static_cast<int>(c)));
     }
     for (const auto& [name, src] : inner_->proj) {
-      (void)src;
-      inner_cols_.push_back(doc_.cols[static_cast<size_t>(
-          doc_.ColumnIndex(name))]);
+      (void)name;
+      inner_cols_.push_back(db.ColumnPtr(db.ColumnIndex(src)));
     }
     return outer_ ? outer_->Prime() : Status::OK();
   }
