@@ -3,7 +3,8 @@
 // the Table VI relational indexes plus the native XMLPATTERN family.
 //
 // Environment knobs:
-//   XQJG_XMARK_SCALE  (default 1.0;  paper's 110 MB instance ~ 100)
+//   XQJG_XMARK_SCALE  (default 1.0;  paper's 110 MB instance ~ 330 by
+//                      bytes, ~ 210 by nodes)
 //   XQJG_DBLP_PUBS    (default 4000; paper's DBLP ~ 1M publications)
 //   XQJG_DNF_SECONDS  (default 30;   the paper's cutoff was 20 hours)
 #ifndef XQJG_BENCH_BENCH_COMMON_H_

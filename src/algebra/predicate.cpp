@@ -37,6 +37,26 @@ CmpOp FlipCmpOp(CmpOp op) {
   }
 }
 
+bool CompareValues(const Value& lhs, CmpOp op, const Value& rhs) {
+  int c = lhs.Compare(rhs);
+  if (c == Value::kNullCmp) return false;
+  switch (op) {
+    case CmpOp::kEq:
+      return c == 0;
+    case CmpOp::kNe:
+      return c != 0;
+    case CmpOp::kLt:
+      return c < 0;
+    case CmpOp::kLe:
+      return c <= 0;
+    case CmpOp::kGt:
+      return c > 0;
+    case CmpOp::kGe:
+      return c >= 0;
+  }
+  return false;
+}
+
 void Term::CollectCols(std::set<std::string>* out) const {
   if (!col.empty()) out->insert(col);
   if (!col2.empty()) out->insert(col2);

@@ -22,6 +22,10 @@ enum class CmpOp { kEq, kNe, kLt, kLe, kGt, kGe };
 
 const char* CmpOpToString(CmpOp op);
 CmpOp FlipCmpOp(CmpOp op);  ///< a OP b  <=>  b FlipCmpOp(OP) a
+/// `lhs OP rhs` over Value::Compare — the comparison semantics of every
+/// executor and of plan-time constant folding. NULL operands compare
+/// false.
+bool CompareValues(const Value& lhs, CmpOp op, const Value& rhs);
 
 /// col + col2 + constant (absent parts contribute nothing). A term may
 /// instead be a *parameter marker* (param >= 0): a constant whose value is

@@ -13,8 +13,9 @@
 namespace xqjg::data {
 
 struct XmarkOptions {
-  /// Rough size knob; 1.0 yields ~50k nodes. The paper's instance
-  /// (110 MB, 4.7M nodes) corresponds to scale ~100.
+  /// Size knob; 1.0 yields about 329 KB of XML and 22k nodes. The
+  /// paper's instance (110 MB, 4.7M nodes) is about scale 330 by bytes,
+  /// or 210 by nodes.
   double scale = 1.0;
   uint64_t seed = 42;
 

@@ -3,6 +3,7 @@
 #include <numeric>
 #include <utility>
 
+#include "src/algebra/operators.h"
 #include "src/xml/doc_block.h"
 
 namespace xqjg::engine::columnar {
@@ -26,36 +27,6 @@ int64_t ApproxBatchBytes(const ColumnBatch& b) {
     bytes += cb;
   }
   return bytes;
-}
-
-ColumnBatch BatchFromMatTable(const MatTable& table) {
-  ColumnBatch batch;
-  batch.schema = table.schema;
-  batch.num_rows = table.rows.size();
-  batch.cols.reserve(table.schema.size());
-  for (size_t c = 0; c < table.schema.size(); ++c) {
-    ValueColumn col;
-    col.Reserve(table.rows.size());
-    for (const auto& row : table.rows) col.Append(row[c]);
-    batch.cols.push_back(std::make_shared<const ValueColumn>(std::move(col)));
-  }
-  return batch;
-}
-
-MatTable BatchToMatTable(const ColumnBatch& batch) {
-  MatTable table;
-  table.schema = batch.schema;
-  table.rows.resize(batch.num_rows);
-  for (auto& row : table.rows) row.reserve(batch.cols.size());
-  // xqjg-lint: allow(no-budget-guard): O(schema columns), plan-shaped
-  for (const ColumnRef& col : batch.cols) {
-    // Boundary conversion of a batch the executor already budget-admitted.
-    // xqjg-lint: allow(no-budget-guard)
-    for (size_t r = 0; r < batch.num_rows; ++r) {
-      table.rows[r].push_back(col->GetValue(batch.PhysRow(r)));
-    }
-  }
-  return table;
 }
 
 Result<ColumnBatch> DocRelationBatch(const xml::DocTable& doc,

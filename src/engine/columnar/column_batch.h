@@ -21,7 +21,6 @@
 
 #include "src/common/status.h"
 #include "src/common/value_column.h"
-#include "src/engine/algebra_exec.h"
 #include "src/engine/exec_options.h"
 #include "src/xml/infoset.h"
 
@@ -53,10 +52,6 @@ struct ColumnBatch {
 /// row set; their charge is scaled to the selected share so a window over
 /// a large shared column does not bill the whole column per window.
 int64_t ApproxBatchBytes(const ColumnBatch& b);
-
-/// Row-major ↔ columnar conversion at the executor boundary.
-ColumnBatch BatchFromMatTable(const MatTable& table);
-MatTable BatchToMatTable(const ColumnBatch& batch);
 
 /// Typed doc relation (schema = algebra::DocColumns()) built directly from
 /// the infoset encoding — no per-cell Value boxing; `name` and `value`

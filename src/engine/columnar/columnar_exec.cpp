@@ -77,9 +77,8 @@ BoundTerm BindTerm(const Term& term, const ColumnBatch& left,
   return t;
 }
 
-/// Mirrors EvalTerm in algebra_exec.cpp: Σ cols + constant, NULL-poisoning,
-/// int+int stays int, any other numeric mix widens to double, non-numeric
-/// addition is undefined (NULL).
+/// Σ cols + constant, NULL-poisoning, int+int stays int, any other numeric
+/// mix widens to double, non-numeric addition is undefined (NULL).
 Value TermValue(const BoundTerm& t, size_t lrow, size_t rrow) {
   if (t.missing) return Value::Null();
   Value acc = t.constant;
@@ -215,8 +214,8 @@ CompiledCmp CompileCmp(const Comparison& cmp, const ColumnBatch& left,
 /// The generic (boxed Value) evaluation, kept out of line so the kernels
 /// in CmpPasses stay small enough to inline into the row loops.
 bool ValueCmpPasses(const CompiledCmp& c, size_t lrow, size_t rrow) {
-  return CompareValues(TermValue(c.lhs, lrow, rrow), c.op,
-                       TermValue(c.rhs, lrow, rrow));
+  return algebra::CompareValues(TermValue(c.lhs, lrow, rrow), c.op,
+                                TermValue(c.rhs, lrow, rrow));
 }
 
 /// `lrow` / `rrow` are PHYSICAL rows of the batches the comparison was
@@ -231,7 +230,7 @@ inline bool CmpPasses(const CompiledCmp& c, size_t lrow, size_t rrow) {
 }
 
 // ---------------------------------------------------------------------------
-// Row hashing over key column sets (same FNV chain as the row evaluator).
+// Row hashing over key column sets.
 
 size_t HashKeysAt(const ColumnBatch& batch, const std::vector<int>& keys,
                   size_t row) {
@@ -936,8 +935,8 @@ class HashJoinStream final : public BatchStream {
     const std::vector<std::string>& rs = op_->children[1]->schema;
     lw_ = ls.size();
     rw_ = rs.size();
-    // Split the predicate into hashable equality conjuncts and residual
-    // comparisons — same classification as the row evaluator.
+    // Split the predicate into hashable equality conjuncts (plain col =
+    // plain col across the two sides) and residual comparisons.
     if (op_->kind == OpKind::kJoin) {
       for (const auto& cmp : op_->pred.conjuncts) {
         if (cmp.IsColEq()) {
@@ -1858,8 +1857,9 @@ class ColumnarSequenceStream final : public SequenceStream {
 
 }  // namespace
 
-Result<MatTable> EvaluateColumnar(const OpPtr& plan, const xml::DocTable& doc,
-                                  const ExecOptions& options) {
+Result<ColumnBatch> EvaluateColumnar(const OpPtr& plan,
+                                     const xml::DocTable& doc,
+                                     const ExecOptions& options) {
   PipelineCtx ctx(&doc, nullptr, options);
   PipelineBuilder builder(&ctx, nullptr);
   XQJG_ASSIGN_OR_RETURN(std::unique_ptr<BatchStream> root,
@@ -1868,11 +1868,10 @@ Result<MatTable> EvaluateColumnar(const OpPtr& plan, const xml::DocTable& doc,
   XQJG_ASSIGN_OR_RETURN(ColumnBatch out,
                         DrainStreamDense(root.get(), plan->schema, nullptr));
   ctx.SyncPeak();
-  MatTable table = BatchToMatTable(out);
   if (options.stats) {
-    options.stats->rows_out = static_cast<int64_t>(table.rows.size());
+    options.stats->rows_out = static_cast<int64_t>(out.num_rows);
   }
-  return table;
+  return out;
 }
 
 namespace {

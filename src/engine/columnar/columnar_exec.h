@@ -4,15 +4,12 @@
 // lowers onto the same operators (plus one index-probe operator for the
 // B-tree access paths).
 //
-// Same plans, same memoization across shared sub-DAGs, same DNF budgets,
-// and bit-identical output tables (including row order) as the row
-// materializer in src/engine/algebra_exec.h, which stays as the
-// algebra-level reference that tests compare against. Intermediates are
-// ColumnBatches of typed columns, filters run as vectorized kernels over
-// int64 arrays where the predicate allows, projection / attach / rowid /
-// rank share input columns instead of copying rows, and the hash join
-// builds and probes typed key columns (NULL keys never match, per
-// Value::Compare).
+// Shared sub-DAGs are memoized and materialized once, and every operator
+// honors the DNF budgets. Intermediates are ColumnBatches of typed
+// columns, filters run as vectorized kernels over int64 arrays where the
+// predicate allows, projection / attach / rowid / rank share input
+// columns instead of copying rows, and the hash join builds and probes
+// typed key columns (NULL keys never match, per Value::Compare).
 //
 // Execution is pipelined: plans run as pull-based streams of ≤4096-row
 // ColumnBatch windows, with the blocking operators (sort, hash build, δ,
@@ -30,7 +27,7 @@
 
 #include "src/algebra/operators.h"
 #include "src/common/status.h"
-#include "src/engine/algebra_exec.h"
+#include "src/engine/columnar/column_batch.h"
 #include "src/engine/database.h"
 #include "src/engine/exec_options.h"
 #include "src/engine/exec_stream.h"
@@ -39,11 +36,12 @@
 
 namespace xqjg::engine::columnar {
 
-/// Evaluates `plan` against `doc` via the batch executor and converts the
-/// final batch to a MatTable (the only row-major materialization).
-Result<MatTable> EvaluateColumnar(const algebra::OpPtr& plan,
-                                  const xml::DocTable& doc,
-                                  const ExecOptions& options = {});
+/// Evaluates `plan` (rooted at any operator) against `doc` and returns
+/// the whole result as one dense batch with the plan's schema, in the
+/// pipeline's row order. Tests use it for plans not rooted at serialize.
+Result<ColumnBatch> EvaluateColumnar(const algebra::OpPtr& plan,
+                                     const xml::DocTable& doc,
+                                     const ExecOptions& options = {});
 
 /// Serialize-rooted plans: primes the pipeline through its final sort
 /// breaker and hands back a live SequenceStream of the result sequence's

@@ -9,8 +9,8 @@
 // statistics — read the typed arrays directly via Column()/the typed
 // accessors. When the source DocTable is backed by a shared xml::DocBlock
 // (the processor's corpora always are), Build adopts the block's column
-// pointers instead of materializing a copy — the database, the columnar
-// doc-relation batch, and the row evaluator all read the same bytes.
+// pointers instead of materializing a copy — the database and the columnar
+// doc-relation batch read the same bytes.
 #ifndef XQJG_ENGINE_DATABASE_H_
 #define XQJG_ENGINE_DATABASE_H_
 

@@ -1,6 +1,5 @@
-// Execution knobs shared by every query executor (the columnar batch
-// pipeline and the materializing row evaluator that tests use as the
-// algebra-level reference): DNF budgets and observable statistics.
+// Execution knobs of the columnar batch pipeline, the executor of every
+// relational plan: DNF budgets and observable statistics.
 #ifndef XQJG_ENGINE_EXEC_OPTIONS_H_
 #define XQJG_ENGINE_EXEC_OPTIONS_H_
 
@@ -30,9 +29,8 @@ struct ExecLimits {
   /// state would exceed the budget, and execution completes with identical
   /// results. Non-spillable breaker state (rank materialization, shared
   /// sub-DAG memos, nested-loop inner sides) is tracked — it shows up in
-  /// ExecStats::peak_memory_bytes — but never aborts. The row evaluator
-  /// and the native interpreter ignore this knob (they stay materializing
-  /// by design).
+  /// ExecStats::peak_memory_bytes — but never aborts. The native
+  /// interpreter ignores this knob (it stays materializing by design).
   int64_t max_memory_bytes = -1;
 };
 
@@ -61,9 +59,9 @@ struct ExecOptions {
   ExecOptions(const ExecLimits& l) : limits(l) {}
 
   ExecLimits limits;
-  /// Morsel workers for the columnar executors (1 = serial; the row
-  /// evaluator always runs serial). Results are independent of the
-  /// worker count: morsel outputs merge in morsel-index order.
+  /// Morsel workers for the columnar executors (1 = serial). Results are
+  /// independent of the worker count: morsel outputs merge in
+  /// morsel-index order.
   int threads = 1;
   /// Execute-time values for the plan's parameter markers, indexed by
   /// binding slot (null: no parameters). Not owned; must outlive the

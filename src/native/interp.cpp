@@ -170,14 +170,14 @@ class Interp {
       return !seq.empty();
     }
     if (cond->kind == ExprKind::kComp) {
-      return EvalComparison(cond, env);
+      return EvalGeneralComparison(cond, env);
     }
     XQJG_ASSIGN_OR_RETURN(Seq seq, Eval(cond, env));
     return !seq.empty();
   }
 
   // Existential general comparison over atomized operands.
-  Result<bool> EvalComparison(const ExprPtr& comp, const Env& env) {
+  Result<bool> EvalGeneralComparison(const ExprPtr& comp, const Env& env) {
     const ExprPtr& lhs = comp->a;
     const ExprPtr& rhs = comp->b;
     auto is_lit = [](const ExprPtr& e) {

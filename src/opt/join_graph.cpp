@@ -505,17 +505,9 @@ Result<JoinGraph> ExtractJoinGraph(const OpPtr& isolated_root) {
       // Evaluated at plan time; keep only if not a tautology. A false
       // constant comparison empties the result — keep it so executors
       // notice.
-      int c = p.lhs.constant.Compare(p.rhs.constant);
-      bool truth = false;
-      switch (p.op) {
-        case CmpOp::kEq: truth = c == 0; break;
-        case CmpOp::kNe: truth = c != 0 && c != Value::kNullCmp; break;
-        case CmpOp::kLt: truth = c == -1; break;
-        case CmpOp::kLe: truth = c == -1 || c == 0; break;
-        case CmpOp::kGt: truth = c == 1; break;
-        case CmpOp::kGe: truth = c == 1 || c == 0; break;
+      if (algebra::CompareValues(p.lhs.constant, p.op, p.rhs.constant)) {
+        continue;
       }
-      if (truth) continue;
     }
     kept.push_back(std::move(p));
   }

@@ -70,8 +70,8 @@ struct DocRow {
 /// row vectors — the historical representation, still used for scratch
 /// parses and ad-hoc test tables) or VIEW-backed over a shared DocBlock
 /// (FromBlock): the accessors then read the block's typed columns in
-/// place, so the row evaluator and the serializer work off the same bytes
-/// as the columnar executors. View tables are read-only — the builder
+/// place, so the serializer works off the same bytes as the columnar
+/// executors. View tables are read-only — the builder
 /// mutators (AppendRow/SetSize/SetValue) must not be called on them.
 class DocTable {
  public:

@@ -1,8 +1,7 @@
-// Differential suite for the columnar executors: the row evaluator (the
-// algebra-level reference), the columnar executors, and the native
-// interpreter must agree — on the paper's Q1–Q6 (stacked and
-// isolated/join-graph execution) and on a family of queries over seeded
-// randomized documents.
+// Differential suite for the columnar executors: the batch pipeline and
+// the native interpreter must agree — on the paper's Q1–Q6 (stacked and
+// join-graph execution) and on a family of queries over seeded randomized
+// documents (stacked and isolated plans).
 #include <gtest/gtest.h>
 
 #include <string>
@@ -13,12 +12,10 @@
 #include "src/compiler/compile.h"
 #include "src/data/dblp.h"
 #include "src/data/xmark.h"
-#include "src/engine/algebra_exec.h"
 #include "src/engine/columnar/columnar_exec.h"
 #include "src/native/interp.h"
 #include "src/opt/isolate.h"
 #include "src/xml/parser.h"
-#include "src/xml/serializer.h"
 #include "src/xquery/normalize.h"
 #include "src/xquery/parser.h"
 #include "tests/testutil/fixtures.h"
@@ -62,13 +59,14 @@ TEST_P(ColumnarPaperQueryCase, RowAndColumnarAgreeInEveryRelationalMode) {
     if (q.id == GetParam()) query = &q;
   }
   ASSERT_NE(query, nullptr);
+  // The native interpreter shares no code with compile, isolate, or plan:
+  // both relational lanes must produce its items.
   api::RunOptions options;
+  options.mode = api::Mode::kNativeWhole;
   options.context_document = query->document;
   options.timeout_seconds = 120;
-  // The row evaluator runs the same algebra plan the mode compiled (the
-  // stacked plan, or the isolated DAG the join graph was extracted from)
-  // and must produce the columnar lane's items.
-  const xml::DocTable& doc = processor_->doc_table();
+  auto native = processor_->Run(query->text, options);
+  ASSERT_TRUE(native.ok()) << native.status().ToString();
   for (api::Mode mode : {api::Mode::kStacked, api::Mode::kJoinGraph}) {
     api::PrepareOptions prep;
     prep.mode = mode;
@@ -79,28 +77,10 @@ TEST_P(ColumnarPaperQueryCase, RowAndColumnarAgreeInEveryRelationalMode) {
     exec.limits.timeout_seconds = 120;
     auto col = processor_->ExecuteAll(prepared.value(), exec);
     ASSERT_TRUE(col.ok()) << col.status().ToString();
-    const algebra::OpPtr& plan = mode == api::Mode::kStacked
-                                     ? prepared.value()->stacked
-                                     : prepared.value()->isolated;
-    auto row = engine::EvaluateToSequence(plan, doc, exec.limits);
-    ASSERT_TRUE(row.ok()) << row.status().ToString();
-    std::vector<std::string> row_items;
-    for (int64_t pre : row.value()) {
-      row_items.push_back(xml::SerializeSubtree(doc, pre));
-    }
-    EXPECT_EQ(row_items, col.value().items)
-        << query->id << " row vs columnar in mode "
+    EXPECT_EQ(native.value().items, col.value().items)
+        << query->id << " native vs columnar in mode "
         << api::ModeToString(mode);
   }
-  // The columnar join graph must also match the native interpreter.
-  options.mode = api::Mode::kNativeWhole;
-  auto native = processor_->Run(query->text, options);
-  ASSERT_TRUE(native.ok()) << native.status().ToString();
-  options.mode = api::Mode::kJoinGraph;
-  auto col = processor_->Run(query->text, options);
-  ASSERT_TRUE(col.ok());
-  EXPECT_EQ(native.value().items, col.value().items)
-      << query->id << " native vs columnar join graph";
 }
 
 INSTANTIATE_TEST_SUITE_P(PaperQueries, ColumnarPaperQueryCase,
@@ -111,9 +91,8 @@ INSTANTIATE_TEST_SUITE_P(PaperQueries, ColumnarPaperQueryCase,
                          });
 
 // ---------------------------------------------------------------------------
-// Randomized documents: stacked and isolated plans under the row
-// evaluator and the columnar executor against the native interpreter,
-// across seeds.
+// Randomized documents: stacked and isolated plans on the columnar
+// executor against the native interpreter, across seeds.
 
 const char* kRandomQueries[] = {
     "doc(\"rand.xml\")//a",
@@ -156,14 +135,9 @@ TEST_P(RandomDocCase, StackedAndIsolatedAgreeUnderBothExecutors) {
     for (const auto& [label, plan] :
          {std::pair<const char*, algebra::OpPtr>{"stacked", stacked.value()},
           {"isolated", iso.value().isolated}}) {
-      auto row = engine::EvaluateToSequence(plan, doc);
-      ASSERT_TRUE(row.ok()) << query << " " << label;
       auto col = testutil::Drain(
           engine::columnar::OpenSequenceStreamColumnar(plan, doc, {}));
       ASSERT_TRUE(col.ok()) << query << " " << label;
-      EXPECT_EQ(row.value(), expected)
-          << query << " " << label << " row vs native (seed " << GetParam()
-          << ")";
       EXPECT_EQ(col.value(), expected)
           << query << " " << label << " columnar vs native (seed "
           << GetParam() << ")";

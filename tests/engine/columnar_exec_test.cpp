@@ -1,21 +1,26 @@
-// Columnar batch executor: typed-column round trips, operator-level
-// agreement with the row evaluator on hand-built plans, the NULL-join-key
-// regression (NULL keys must never match in a hash join, in an algebra
-// plan and in a lowered join-graph plan), and the memoization regression
-// (shared sub-plans are materialized — and counted — exactly once).
+// Columnar batch executor: typed-column round trips, the doc relation
+// batch against the DocTable accessors, every algebra operator on
+// hand-built plans against literal expected tables (σ, π, ⋈ with and
+// without a residual, the nested-loop range join, ×, δ, #, ϱ with ties,
+// NULL and mixed-type comparison semantics, the row budget), the
+// NULL-join-key regression (NULL keys must never match in a hash join, in
+// an algebra plan and in a lowered join-graph plan), and the memoization
+// regression (shared sub-plans are materialized — and counted — exactly
+// once).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/common/value_column.h"
-#include "src/engine/algebra_exec.h"
 #include "src/engine/columnar/column_batch.h"
 #include "src/engine/columnar/columnar_exec.h"
 #include "src/engine/columnar/plan_exec.h"
 #include "src/engine/database.h"
 #include "src/engine/planner.h"
+#include "src/xml/serializer.h"
 #include "tests/testutil/fixtures.h"
 
 namespace xqjg::engine {
@@ -28,40 +33,40 @@ using algebra::MakeJoin;
 using algebra::MakeLiteral;
 using algebra::MakeProject;
 using algebra::MakeRank;
+using algebra::MakeRowId;
 using algebra::MakeSelect;
 using algebra::OpPtr;
 using algebra::Predicate;
 using algebra::Term;
 
-void ExpectTablesEqual(const MatTable& a, const MatTable& b,
-                       const char* what) {
-  ASSERT_EQ(a.schema, b.schema) << what;
-  ASSERT_EQ(a.rows.size(), b.rows.size()) << what;
-  for (size_t r = 0; r < a.rows.size(); ++r) {
-    ASSERT_EQ(a.rows[r].size(), b.rows[r].size()) << what << " row " << r;
-    for (size_t c = 0; c < a.rows[r].size(); ++c) {
-      const Value& va = a.rows[r][c];
-      const Value& vb = b.rows[r][c];
-      EXPECT_TRUE(va.is_null() == vb.is_null() && (va.is_null() || va == vb))
-          << what << " row " << r << " col " << c << ": " << va.ToString()
-          << " vs " << vb.ToString();
-    }
+using Table = std::vector<std::vector<Value>>;
+
+/// A table of int64 cells, row by row.
+Table IntTable(const std::vector<std::vector<int64_t>>& rows) {
+  Table out;
+  for (const auto& row : rows) {
+    std::vector<Value> values;
+    for (int64_t v : row) values.push_back(Value::Int(v));
+    out.push_back(std::move(values));
   }
+  return out;
 }
 
-/// Evaluates `plan` under the row evaluator and the columnar executor and
-/// requires identical tables.
-MatTable EvalBothWays(const OpPtr& plan, const xml::DocTable& doc,
-                      const char* what) {
-  auto row = Evaluate(plan, doc);
-  EXPECT_TRUE(row.ok()) << row.status().ToString();
-  auto col = columnar::EvaluateColumnar(plan, doc);
-  EXPECT_TRUE(col.ok()) << col.status().ToString();
-  if (row.ok() && col.ok()) {
-    ExpectTablesEqual(row.value(), col.value(), what);
-    return row.value();
-  }
-  return MatTable{};
+/// One-column literal `col` holding `values`.
+OpPtr IntsLiteral(const std::string& col, std::vector<int64_t> values) {
+  std::vector<std::vector<Value>> rows;
+  rows.reserve(values.size());
+  for (int64_t v : values) rows.push_back({Value::Int(v)});
+  return MakeLiteral({col}, std::move(rows));
+}
+
+/// Runs `plan` on the pipeline and returns its rows (none on error).
+Table EvalRows(const OpPtr& plan, const xml::DocTable& doc) {
+  auto result = columnar::EvaluateColumnar(plan, doc);
+  EXPECT_TRUE(result.ok()) << result.status().ToString();
+  if (!result.ok()) return {};
+  EXPECT_EQ(result.value().schema, plan->schema);
+  return testutil::Rows(result.value());
 }
 
 TEST(ValueColumn, RoundTripsMixedAndNullValues) {
@@ -104,61 +109,93 @@ TEST(ValueColumn, TypedPathMatchesValueSemantics) {
   EXPECT_FALSE(ValueColumn::SortLessAt(ints, 0, doubles, 0));
 }
 
-TEST(ColumnBatch, MatTableRoundTrip) {
-  xml::DocTable doc = testutil::LoadDoc("bib.xml", testutil::TinyBibXml());
-  MatTable table = BuildDocRelation(doc);
-  columnar::ColumnBatch batch = columnar::BatchFromMatTable(table);
-  EXPECT_EQ(batch.num_rows, table.rows.size());
-  ExpectTablesEqual(table, columnar::BatchToMatTable(batch), "round trip");
-  // And the direct typed construction agrees with the row-major one.
+TEST(ColumnBatch, DocRelationBatchMatchesDocTable) {
+  // Literal cells of a five-node document: DOC, <a>, @x, <b>, text.
+  xml::DocTable small =
+      testutil::LoadDoc("d.xml", "<a x=\"3.5\"><b>hi</b></a>");
   BudgetClock clock;
-  auto direct = columnar::DocRelationBatch(doc, &clock);
-  ASSERT_TRUE(direct.ok());
-  ExpectTablesEqual(table, columnar::BatchToMatTable(direct.value()),
-                    "doc relation");
+  auto rel = columnar::DocRelationBatch(small, &clock);
+  ASSERT_TRUE(rel.ok()) << rel.status().ToString();
+  ASSERT_EQ(rel.value().schema, algebra::DocColumns());
+  const Table rows = testutil::Rows(rel.value());
+  ASSERT_EQ(rows.size(), 5u);
+  const auto col = [&](const char* name) {
+    return static_cast<size_t>(rel.value().ColumnIndex(name));
+  };
+  EXPECT_EQ(rows[2][col("value")].AsString(), "3.5");  // @x
+  EXPECT_DOUBLE_EQ(rows[2][col("data")].AsDouble(), 3.5);
+  EXPECT_TRUE(rows[1][col("value")].is_null()) << "<a> has size 3";
+  // Every cell of a larger document against the DocTable accessors.
+  xml::DocTable doc = testutil::LoadDoc("bib.xml", testutil::TinyBibXml());
+  auto batch = columnar::DocRelationBatch(doc, &clock);
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  ASSERT_EQ(batch.value().schema, algebra::DocColumns());
+  Table expected;
+  for (int64_t pre = 0; pre < doc.row_count(); ++pre) {
+    expected.push_back(
+        {Value::Int(pre), Value::Int(doc.size(pre)), Value::Int(doc.level(pre)),
+         Value::Int(static_cast<int64_t>(doc.kind(pre))),
+         Value::String(doc.name(pre)),
+         doc.has_value(pre) ? Value::String(doc.value(pre)) : Value::Null(),
+         doc.has_data(pre) ? Value::Double(doc.data(pre)) : Value::Null(),
+         Value::Int(doc.Parent(pre)), Value::Int(doc.Root(pre))});
+  }
+  EXPECT_EQ(testutil::Rows(batch.value()), expected);
 }
 
-OpPtr IntsLiteral(const std::string& col, std::vector<int64_t> values) {
-  std::vector<std::vector<Value>> rows;
-  rows.reserve(values.size());
-  for (int64_t v : values) rows.push_back({Value::Int(v)});
-  return MakeLiteral({col}, std::move(rows));
-}
-
-TEST(ColumnarExec, OperatorsAgreeWithRowExecutorOnHandBuiltPlans) {
+TEST(ColumnarExec, OperatorsMatchLiteralTablesOnHandBuiltPlans) {
   xml::DocTable doc = testutil::LoadDoc("site.xml", testutil::TinySiteXml());
   OpPtr lit = IntsLiteral("x", {5, 3, 9, 3, 7, 1});
   // σ
   OpPtr sel = MakeSelect(
       lit, Predicate::Single(Term::Col("x"), CmpOp::kGt, Term::Const(Value::Int(2))));
-  MatTable sel_rows = EvalBothWays(sel, doc, "select");
-  EXPECT_EQ(sel_rows.rows.size(), 5u);  // 5, 3, 9, 3, 7
-  // ⋈ (equi + residual)
+  EXPECT_EQ(EvalRows(sel, doc), IntTable({{5}, {3}, {9}, {3}, {7}}));
+  // ⋈ on x = y: left rows in order, each with its matches in right order
   OpPtr right = IntsLiteral("y", {3, 9, 9, 2});
   Predicate join_pred =
       Predicate::Single(Term::Col("x"), CmpOp::kEq, Term::Col("y"));
-  MatTable join_rows =
-      EvalBothWays(MakeJoin(lit, right, join_pred), doc, "equi join");
-  EXPECT_EQ(join_rows.rows.size(), 4u);  // 3⋈3 twice, 9⋈9 twice
+  EXPECT_EQ(EvalRows(MakeJoin(lit, right, join_pred), doc),
+            IntTable({{3, 3}, {9, 9}, {9, 9}, {3, 3}}));
   // × with range predicate forced into the residual nested loop
   Predicate range_pred =
       Predicate::Single(Term::Col("x"), CmpOp::kLt, Term::Col("y"));
-  EvalBothWays(MakeJoin(lit, right, range_pred), doc, "range join");
-  EvalBothWays(MakeCross(lit, right), doc, "cross");
-  // δ
-  EvalBothWays(MakeDistinct(MakeProject(lit, {{"d", "x"}})), doc, "distinct");
-  // ϱ
-  EvalBothWays(MakeRank(lit, "rnk", {"x"}), doc, "rank");
-  // Compiled query end to end (serialize root) on a real document.
+  EXPECT_EQ(EvalRows(MakeJoin(lit, right, range_pred), doc),
+            IntTable({{5, 9}, {5, 9}, {3, 9}, {3, 9}, {3, 9}, {3, 9},
+                      {7, 9}, {7, 9}, {1, 3}, {1, 9}, {1, 9}, {1, 2}}));
+  // ×: left-major order
+  std::vector<std::vector<int64_t>> cross;
+  for (int64_t x : {5, 3, 9, 3, 7, 1}) {
+    for (int64_t y : {3, 9, 9, 2}) cross.push_back({x, y});
+  }
+  EXPECT_EQ(EvalRows(MakeCross(lit, right), doc), IntTable(cross));
+  // δ keeps first occurrences in order
+  EXPECT_EQ(EvalRows(MakeDistinct(MakeProject(lit, {{"d", "x"}})), doc),
+            IntTable({{5}, {3}, {9}, {7}, {1}}));
+  // ϱ: 1, 3, 3, 5, 7, 9 rank 1, 2, 2, 4, 5, 6
+  EXPECT_EQ(EvalRows(MakeRank(lit, "rnk", {"x"}), doc),
+            IntTable({{5, 4}, {3, 2}, {9, 6}, {3, 2}, {7, 5}, {1, 1}}));
+  // Compiled query end to end (serialize root) on a real document: the
+  // drained sequence, and the item column of the evaluated table.
   auto plan = testutil::CompileToPlan("//item[price > 10.0]/name", "site.xml");
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-  EvalBothWays(plan.value(), doc, "compiled plan");
-  auto row_seq = EvaluateToSequence(plan.value(), doc);
-  auto col_seq = testutil::Drain(
+  auto seq = testutil::Drain(
       columnar::OpenSequenceStreamColumnar(plan.value(), doc, {}));
-  ASSERT_TRUE(row_seq.ok());
-  ASSERT_TRUE(col_seq.ok());
-  EXPECT_EQ(row_seq.value(), col_seq.value());
+  ASSERT_TRUE(seq.ok()) << seq.status().ToString();
+  std::vector<std::string> items;
+  for (int64_t pre : seq.value()) {
+    items.push_back(xml::SerializeSubtree(doc, pre));
+  }
+  EXPECT_EQ(items, (std::vector<std::string>{"<name>clock</name>",
+                                             "<name>lamp</name>"}));
+  auto table = columnar::EvaluateColumnar(plan.value(), doc);
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  const int item = table.value().ColumnIndex(plan.value()->col);
+  ASSERT_GE(item, 0);
+  std::vector<int64_t> item_col;
+  for (const auto& row : testutil::Rows(table.value())) {
+    item_col.push_back(row[static_cast<size_t>(item)].AsInt());
+  }
+  EXPECT_EQ(item_col, seq.value());
 }
 
 TEST(ColumnarExec, NullJoinKeysNeverMatch) {
@@ -177,10 +214,10 @@ TEST(ColumnarExec, NullJoinKeysNeverMatch) {
                     {Value::Int(3), Value::String("r4")}});
   OpPtr join = MakeJoin(
       left, right, Predicate::Single(Term::Col("k"), CmpOp::kEq, Term::Col("q")));
-  MatTable rows = EvalBothWays(join, doc, "null-key join");
-  ASSERT_EQ(rows.rows.size(), 1u);  // only k=2 ⋈ q=2
-  EXPECT_EQ(rows.rows[0][1].AsString(), "l2");
-  EXPECT_EQ(rows.rows[0][3].AsString(), "r1");
+  // only k=2 ⋈ q=2
+  EXPECT_EQ(EvalRows(join, doc),
+            (Table{{Value::Int(2), Value::String("l2"), Value::Int(2),
+                    Value::String("r1")}}));
 }
 
 TEST(ColumnarExec, NullKeysNeverMatchInPhysicalHashJoin) {
@@ -250,20 +287,113 @@ TEST(ColumnarExec, SharedSubPlansMaterializeOnce) {
   OpPtr left = MakeProject(shared, {{"x", "n"}});
   OpPtr right = MakeProject(shared, {{"y", "n"}});
   OpPtr cross = MakeCross(left, right);
-  for (bool batched : {false, true}) {
-    ExecStats stats;
-    ExecOptions options;
-    options.stats = &stats;
-    auto result = batched ? columnar::EvaluateColumnar(cross, doc, options)
-                           : Evaluate(cross, doc, options);
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    EXPECT_EQ(result.value().rows.size(), 25u);
-    // shared (5) + two projections (5 + 5) + cross (25); the old
-    // evaluator's per-hit deep copy would double the shared table.
-    EXPECT_EQ(stats.tuples_materialized, 40)
-        << (batched ? "columnar" : "row");
-    EXPECT_EQ(stats.rows_out, 25);
-  }
+  ExecStats stats;
+  ExecOptions options;
+  options.stats = &stats;
+  auto result = columnar::EvaluateColumnar(cross, doc, options);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result.value().num_rows, 25u);
+  // shared (5) + two projections (5 + 5) + cross (25); a per-hit deep
+  // copy of the memo would double the shared table.
+  EXPECT_EQ(stats.tuples_materialized, 40);
+  EXPECT_EQ(stats.rows_out, 25);
+}
+
+// ---------------------------------------------------------------------------
+// Operator semantics of the table algebra, one behaviour per case.
+
+TEST(AlgebraExec, SelectAndProject) {
+  xml::DocTable doc = testutil::LoadDoc("x", "<x/>");
+  OpPtr plan = MakeProject(
+      MakeSelect(IntsLiteral("n", {1, 5, 3, 5}),
+                 Predicate::Single(Term::Col("n"), CmpOp::kGe,
+                                   Term::Const(Value::Int(3)))),
+      {{"m", "n"}});
+  EXPECT_EQ(plan->schema, (std::vector<std::string>{"m"}));
+  EXPECT_EQ(EvalRows(plan, doc), IntTable({{5}, {3}, {5}}));
+}
+
+TEST(AlgebraExec, HashJoinAndResidual) {
+  xml::DocTable doc = testutil::LoadDoc("x", "<x/>");
+  OpPtr left = MakeProject(IntsLiteral("n", {1, 2, 3}), {{"a", "n"}});
+  OpPtr right = MakeProject(IntsLiteral("n", {2, 3, 3, 4}), {{"b", "n"}});
+  Predicate equi =
+      Predicate::Single(Term::Col("a"), CmpOp::kEq, Term::Col("b"));
+  EXPECT_EQ(EvalRows(MakeJoin(left, right, equi), doc),
+            IntTable({{2, 2}, {3, 3}, {3, 3}}));
+  // A residual over both sides filters the hash matches: a + b > 4.
+  Predicate residual = equi;
+  residual.And(Term::ColSum("a", "b"), CmpOp::kGt, Term::Const(Value::Int(4)));
+  EXPECT_EQ(EvalRows(MakeJoin(left, right, residual), doc),
+            IntTable({{3, 3}, {3, 3}}));
+}
+
+TEST(AlgebraExec, RangeJoinFallsBackToNestedLoop) {
+  xml::DocTable doc = testutil::LoadDoc("x", "<x/>");
+  OpPtr left = MakeProject(IntsLiteral("n", {1, 4}), {{"a", "n"}});
+  OpPtr right = MakeProject(IntsLiteral("n", {2, 3, 5}), {{"b", "n"}});
+  Predicate p = Predicate::Single(Term::Col("a"), CmpOp::kLt, Term::Col("b"));
+  EXPECT_EQ(EvalRows(MakeJoin(left, right, p), doc),
+            IntTable({{1, 2}, {1, 3}, {1, 5}, {4, 5}}));
+}
+
+TEST(AlgebraExec, DistinctAndRowId) {
+  xml::DocTable doc = testutil::LoadDoc("x", "<x/>");
+  EXPECT_EQ(EvalRows(MakeDistinct(IntsLiteral("n", {2, 1, 2, 2, 1})), doc),
+            IntTable({{2}, {1}}));
+  // Row ids are unique: 1, 2, 3 in row order.
+  EXPECT_EQ(EvalRows(MakeRowId(IntsLiteral("n", {7, 7, 7}), "id"), doc),
+            IntTable({{7, 1}, {7, 2}, {7, 3}}));
+}
+
+TEST(AlgebraExec, RankUsesRankSemanticsWithTies) {
+  xml::DocTable doc = testutil::LoadDoc("x", "<x/>");
+  // values 10, 20, 30, 30 rank 1, 2, 3, 3: ties share their first row's
+  // rank (the isolation rules depend on this, DESIGN.md §5)
+  EXPECT_EQ(EvalRows(MakeRank(IntsLiteral("n", {30, 10, 30, 20}), "r", {"n"}),
+                     doc),
+            IntTable({{30, 3}, {10, 1}, {30, 3}, {20, 2}}));
+}
+
+TEST(AlgebraExec, NullComparesFalse) {
+  xml::DocTable doc = testutil::LoadDoc("x", "<x/>");
+  OpPtr lit = MakeLiteral({"v"}, {{Value::Null()}, {Value::Int(1)}});
+  EXPECT_EQ(EvalRows(MakeSelect(lit, Predicate::Single(
+                                         Term::Col("v"), CmpOp::kEq,
+                                         Term::Const(Value::Null()))),
+                     doc),
+            Table{})
+      << "NULL = NULL is not true";
+  EXPECT_EQ(EvalRows(MakeSelect(lit, Predicate::Single(
+                                         Term::Col("v"), CmpOp::kNe,
+                                         Term::Const(Value::Int(0)))),
+                     doc),
+            IntTable({{1}}))
+      << "NULL != 0 is not true either";
+}
+
+TEST(AlgebraExec, TermAdditionMixedTypes) {
+  xml::DocTable doc = testutil::LoadDoc("x", "<x/>");
+  OpPtr lit = MakeLiteral({"a", "b"},
+                          {{Value::Int(1), Value::Double(2.5)},
+                           {Value::Int(5), Value::Double(0.5)}});
+  // 1 + 2.5 > 4 fails, 5 + 0.5 > 4 holds
+  Predicate sum_gt = Predicate::Single(Term::ColSum("a", "b"), CmpOp::kGt,
+                                       Term::Const(Value::Double(4.0)));
+  EXPECT_EQ(EvalRows(MakeSelect(lit, sum_gt), doc),
+            (Table{{Value::Int(5), Value::Double(0.5)}}));
+}
+
+TEST(AlgebraExec, RowBudgetTriggersDnf) {
+  xml::DocTable doc = testutil::LoadDoc("x", "<x/>");
+  OpPtr big = IntsLiteral("n", std::vector<int64_t>(200, 1));
+  OpPtr rebig = MakeProject(big, {{"m", "n"}});
+  OpPtr cross = MakeCross(big, rebig);  // 40000 rows
+  ExecLimits limits;
+  limits.max_intermediate_rows = 1000;
+  auto result = columnar::EvaluateColumnar(cross, doc, limits);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kTimeout);
 }
 
 }  // namespace

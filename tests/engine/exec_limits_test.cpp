@@ -1,12 +1,15 @@
 // ExecLimits DNF guards: both budget knobs must surface Status::Timeout
-// through every entry point (the row evaluator's Evaluate and
-// EvaluateToSequence, the columnar executors, the processor facade)
-// instead of crashing or looping — they emulate the paper's 20-hour
-// cutoff, so tripping them is a supported outcome, not a fault.
+// through every entry point (columnar::EvaluateColumnar, a drained
+// OpenSequenceStreamColumnar, and the processor facade over stacked and
+// join-graph plans) instead of crashing or looping — they emulate the
+// paper's 20-hour cutoff, so tripping them is a supported outcome, not a
+// fault.
 #include <gtest/gtest.h>
 
+#include <numeric>
+#include <vector>
+
 #include "src/api/processor.h"
-#include "src/engine/algebra_exec.h"
 #include "src/engine/columnar/columnar_exec.h"
 #include "src/xml/parser.h"
 #include "tests/testutil/fixtures.h"
@@ -33,7 +36,7 @@ TEST(ExecLimits, TimeoutReturnsStatusTimeout) {
   OpPtr cross = MakeCross(WideLiteral("a", 500), WideLiteral("b", 500));
   ExecLimits limits;
   limits.timeout_seconds = 1e-6;
-  auto result = Evaluate(cross, doc, limits);
+  auto result = columnar::EvaluateColumnar(cross, doc, limits);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kTimeout)
       << result.status().ToString();
@@ -44,7 +47,7 @@ TEST(ExecLimits, RowBudgetReturnsStatusTimeout) {
   OpPtr cross = MakeCross(WideLiteral("a", 100), WideLiteral("b", 100));
   ExecLimits limits;
   limits.max_intermediate_rows = 50;
-  auto result = Evaluate(cross, doc, limits);
+  auto result = columnar::EvaluateColumnar(cross, doc, limits);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kTimeout)
       << result.status().ToString();
@@ -56,9 +59,10 @@ TEST(ExecLimits, NonPositiveLimitsMeanUnlimited) {
   ExecLimits limits;
   limits.timeout_seconds = 0;
   limits.max_intermediate_rows = 0;
-  auto result = Evaluate(cross, doc, limits);
+  limits.max_memory_bytes = 0;
+  auto result = columnar::EvaluateColumnar(cross, doc, limits);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(result.value().rows.size(), 1600u);
+  EXPECT_EQ(result.value().num_rows, 1600u);
 }
 
 TEST(ExecLimits, RowBudgetGuardsCompiledQuery) {
@@ -67,12 +71,14 @@ TEST(ExecLimits, RowBudgetGuardsCompiledQuery) {
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
   ExecLimits limits;
   limits.max_intermediate_rows = 2;  // doc relation alone exceeds this
-  auto seq = EvaluateToSequence(plan.value(), doc, limits);
+  auto seq = testutil::Drain(
+      columnar::OpenSequenceStreamColumnar(plan.value(), doc, limits));
   ASSERT_FALSE(seq.ok());
   EXPECT_EQ(seq.status().code(), StatusCode::kTimeout)
       << seq.status().ToString();
   // The same plan without limits must still evaluate (guard is not sticky).
-  auto ok = EvaluateToSequence(plan.value(), doc, {});
+  auto ok = testutil::Drain(
+      columnar::OpenSequenceStreamColumnar(plan.value(), doc, {}));
   ASSERT_TRUE(ok.ok()) << ok.status().ToString();
   EXPECT_EQ(ok.value().size(), 3u);
 }
@@ -105,34 +111,28 @@ TEST(ExecLimits, ColumnarExecutorHonorsBothBudgets) {
   auto bounded = columnar::EvaluateColumnar(cross, doc, rows);
   ASSERT_FALSE(bounded.ok());
   EXPECT_EQ(bounded.status().code(), StatusCode::kTimeout);
-  // Unlimited still evaluates, identically to the row evaluator.
+  // Unlimited still evaluates.
   auto ok = columnar::EvaluateColumnar(cross, doc);
   ASSERT_TRUE(ok.ok()) << ok.status().ToString();
-  EXPECT_EQ(ok.value().rows.size(), 40000u);
+  EXPECT_EQ(ok.value().num_rows, 40000u);
 }
 
 TEST(ExecLimits, RankAndSerializeLoopsHonorTheDeadline) {
   // Sort-heavy operators (ϱ and the serialize tail) must surface Timeout
-  // through both executors instead of sorting past the budget.
+  // instead of sorting past the budget.
   xml::DocTable doc = testutil::LoadDoc("x", "<x/>");
   OpPtr ranked = algebra::MakeRank(WideLiteral("a", 5000), "rnk", {"a"});
   ExecOptions options;
   options.limits.timeout_seconds = 1e-9;
-  auto row = Evaluate(ranked, doc, options);
-  ASSERT_FALSE(row.ok()) << "row";
-  EXPECT_EQ(row.status().code(), StatusCode::kTimeout);
   auto col = columnar::EvaluateColumnar(ranked, doc, options);
-  ASSERT_FALSE(col.ok()) << "columnar";
+  ASSERT_FALSE(col.ok()) << "rank";
   EXPECT_EQ(col.status().code(), StatusCode::kTimeout);
   xml::DocTable site = testutil::LoadDoc("site.xml", testutil::TinySiteXml());
   auto plan = testutil::CompileToPlan("doc(\"site.xml\")//item", "site.xml");
   ASSERT_TRUE(plan.ok());
-  auto row_seq = EvaluateToSequence(plan.value(), site, options);
-  ASSERT_FALSE(row_seq.ok()) << "row";
-  EXPECT_EQ(row_seq.status().code(), StatusCode::kTimeout);
   auto col_seq = testutil::Drain(
       columnar::OpenSequenceStreamColumnar(plan.value(), site, options));
-  ASSERT_FALSE(col_seq.ok()) << "columnar";
+  ASSERT_FALSE(col_seq.ok()) << "serialize";
   EXPECT_EQ(col_seq.status().code(), StatusCode::kTimeout);
 }
 
@@ -195,7 +195,7 @@ TEST(ExecLimits, PhysicalPlanExecutorsHonorTheRowBudget) {
 TEST(ExecLimits, LateMaterializedFilterChainsHonorBothBudgets) {
   // A σ∘σ∘δ chain runs as selection vectors in the columnar executor
   // (no gathers until the tail); both budget knobs must still trip inside
-  // the selection loops, and the row evaluator stays the reference.
+  // the selection loops.
   xml::DocTable doc = testutil::LoadDoc("x", "<x/>");
   OpPtr lit = WideLiteral("a", 5000);
   using algebra::MakeSelect;
@@ -207,60 +207,54 @@ TEST(ExecLimits, LateMaterializedFilterChainsHonorBothBudgets) {
                                    Term::Const(Value::Int(10)))),
       Predicate::Single(Term::Col("a"), algebra::CmpOp::kLt,
                         Term::Const(Value::Int(4000))));
-  for (bool batched : {false, true}) {
-    auto eval = [&](const ExecOptions& options) {
-      return batched ? columnar::EvaluateColumnar(chain, doc, options)
-                     : Evaluate(chain, doc, options);
-    };
-    ExecOptions timeout;
-    timeout.limits.timeout_seconds = 1e-9;
-    auto timed = eval(timeout);
-    ASSERT_FALSE(timed.ok()) << (batched ? "columnar" : "row");
-    EXPECT_EQ(timed.status().code(), StatusCode::kTimeout);
-    ExecOptions rows;
-    rows.limits.max_intermediate_rows = 100;
-    auto bounded = eval(rows);
-    ASSERT_FALSE(bounded.ok()) << (batched ? "columnar" : "row");
-    EXPECT_EQ(bounded.status().code(), StatusCode::kTimeout);
-  }
-  // Unlimited: both executors agree through the lazy chain.
-  auto row = Evaluate(chain, doc, ExecOptions{});
+  ExecOptions timeout;
+  timeout.limits.timeout_seconds = 1e-9;
+  auto timed = columnar::EvaluateColumnar(chain, doc, timeout);
+  ASSERT_FALSE(timed.ok());
+  EXPECT_EQ(timed.status().code(), StatusCode::kTimeout);
+  ExecOptions rows;
+  rows.limits.max_intermediate_rows = 100;
+  auto bounded = columnar::EvaluateColumnar(chain, doc, rows);
+  ASSERT_FALSE(bounded.ok());
+  EXPECT_EQ(bounded.status().code(), StatusCode::kTimeout);
+  // Unlimited: the lazy chain yields values 11..3999 in order.
   auto col = columnar::EvaluateColumnar(chain, doc);
-  ASSERT_TRUE(row.ok());
-  ASSERT_TRUE(col.ok());
-  EXPECT_EQ(row.value().rows.size(), col.value().rows.size());
-  EXPECT_EQ(row.value().rows.size(), 3989u);  // values 11..3999
+  ASSERT_TRUE(col.ok()) << col.status().ToString();
+  std::vector<int64_t> values;
+  for (const auto& row : testutil::Rows(col.value())) {
+    values.push_back(row[0].AsInt());
+  }
+  std::vector<int64_t> expected(3989);
+  std::iota(expected.begin(), expected.end(), 11);
+  EXPECT_EQ(values, expected);
 }
 
 TEST(ExecLimits, DeferredGatherBoundariesHonorBudgets) {
   // A compiled query's σ/π chain stays lazy until the serialize sort —
   // the gather boundary. Budgets must surface through the full pipeline
-  // (and through the dictionary-code name filters) in both executors.
+  // (and through the dictionary-code name filters).
   xml::DocTable site = testutil::LoadDoc("site.xml", testutil::TinySiteXml());
   auto plan =
       testutil::CompileToPlan("doc(\"site.xml\")//item[price > 10.0]/name",
                               "site.xml");
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-  for (bool batched : {false, true}) {
-    auto eval = [&](const ExecOptions& options) {
-      return batched ? testutil::Drain(columnar::OpenSequenceStreamColumnar(
-                           plan.value(), site, options))
-                     : EvaluateToSequence(plan.value(), site, options);
-    };
-    ExecOptions timeout;
-    timeout.limits.timeout_seconds = 1e-9;
-    auto timed = eval(timeout);
-    ASSERT_FALSE(timed.ok()) << (batched ? "columnar" : "row");
-    EXPECT_EQ(timed.status().code(), StatusCode::kTimeout);
-    ExecOptions rows;
-    rows.limits.max_intermediate_rows = 2;  // doc relation alone exceeds
-    auto bounded = eval(rows);
-    ASSERT_FALSE(bounded.ok()) << (batched ? "columnar" : "row");
-    EXPECT_EQ(bounded.status().code(), StatusCode::kTimeout);
-    auto ok = eval(ExecOptions{});
-    ASSERT_TRUE(ok.ok());
-    EXPECT_EQ(ok.value().size(), 2u);  // clock (12.5) and lamp (30.0)
-  }
+  auto eval = [&](const ExecOptions& options) {
+    return testutil::Drain(
+        columnar::OpenSequenceStreamColumnar(plan.value(), site, options));
+  };
+  ExecOptions timeout;
+  timeout.limits.timeout_seconds = 1e-9;
+  auto timed = eval(timeout);
+  ASSERT_FALSE(timed.ok());
+  EXPECT_EQ(timed.status().code(), StatusCode::kTimeout);
+  ExecOptions rows;
+  rows.limits.max_intermediate_rows = 2;  // doc relation alone exceeds
+  auto bounded = eval(rows);
+  ASSERT_FALSE(bounded.ok());
+  EXPECT_EQ(bounded.status().code(), StatusCode::kTimeout);
+  auto ok = eval(ExecOptions{});
+  ASSERT_TRUE(ok.ok());
+  EXPECT_EQ(ok.value().size(), 2u);  // clock (12.5) and lamp (30.0)
 }
 
 TEST(ExecLimits, PhysicalPlanNamePredicatesHonorTheRowBudget) {

@@ -536,9 +536,10 @@ TEST_F(GraceDistinctSpill, DuplicateHeavyProjectionIsBitIdentical) {
       {{"n", "name"}, {"k", "kind"}, {"l", "level"}}));
   auto unlimited = engine::columnar::EvaluateColumnar(plan, *big_doc_);
   ASSERT_TRUE(unlimited.ok()) << unlimited.status().ToString();
-  const engine::MatTable& expected = unlimited.value();
-  ASSERT_GT(expected.rows.size(), 1u);
-  ASSERT_LT(expected.rows.size() * 10,
+  const std::vector<std::vector<Value>> expected =
+      testutil::Rows(unlimited.value());
+  ASSERT_GT(expected.size(), 1u);
+  ASSERT_LT(expected.size() * 10,
             static_cast<size_t>(big_doc_->row_count()))
       << "the projection is not duplicate-heavy";
 
@@ -554,15 +555,16 @@ TEST_F(GraceDistinctSpill, DuplicateHeavyProjectionIsBitIdentical) {
       ASSERT_TRUE(result.ok()) << "threads=" << threads << " budget="
                                << budget << ": "
                                << result.status().ToString();
-      const engine::MatTable& got = result.value();
-      EXPECT_EQ(got.schema, expected.schema);
-      ASSERT_EQ(got.rows.size(), expected.rows.size())
+      EXPECT_EQ(result.value().schema, unlimited.value().schema);
+      const std::vector<std::vector<Value>> got =
+          testutil::Rows(result.value());
+      ASSERT_EQ(got.size(), expected.size())
           << "threads=" << threads << " budget=" << budget;
-      for (size_t r = 0; r < got.rows.size(); ++r) {
-        ASSERT_EQ(got.rows[r].size(), expected.rows[r].size());
-        for (size_t c = 0; c < got.rows[r].size(); ++c) {
-          const Value& g = got.rows[r][c];
-          const Value& e = expected.rows[r][c];
+      for (size_t r = 0; r < got.size(); ++r) {
+        ASSERT_EQ(got[r].size(), expected[r].size());
+        for (size_t c = 0; c < got[r].size(); ++c) {
+          const Value& g = got[r][c];
+          const Value& e = expected[r][c];
           ASSERT_TRUE(g.type() == e.type() && g == e)
               << "threads=" << threads << " budget=" << budget << " row "
               << r << " col " << c << ": " << g.ToString()

@@ -1,6 +1,6 @@
 // Differential property tests: for a family of generated queries over a
-// generated document, the stacked plan, the isolated plan (both under the
-// materializing evaluator), the cost-based engine (where extractable),
+// generated document, the stacked plan, the isolated plan (both on the
+// batch pipeline), the cost-based join-graph plan (where extractable),
 // and the native reference interpreter must all return the same node
 // sequence.
 #include <gtest/gtest.h>
@@ -8,7 +8,7 @@
 #include "src/common/str.h"
 #include "src/compiler/compile.h"
 #include "src/data/xmark.h"
-#include "src/engine/algebra_exec.h"
+#include "src/engine/columnar/columnar_exec.h"
 #include "src/engine/columnar/plan_exec.h"
 #include "src/engine/database.h"
 #include "src/engine/planner.h"
@@ -81,13 +81,15 @@ TEST_P(QueryFamily, AllExecutorsAgree) {
 
   auto stacked = compiler::CompileQuery(core.value());
   ASSERT_TRUE(stacked.ok()) << stacked.status().ToString();
-  auto stacked_seq = engine::EvaluateToSequence(stacked.value(), *doc_);
+  auto stacked_seq = testutil::Drain(
+      engine::columnar::OpenSequenceStreamColumnar(stacked.value(), *doc_, {}));
   ASSERT_TRUE(stacked_seq.ok()) << stacked_seq.status().ToString();
   EXPECT_EQ(stacked_seq.value(), expected) << "stacked vs interpreter";
 
   auto iso = opt::Isolate(stacked.value());
   ASSERT_TRUE(iso.ok()) << iso.status().ToString();
-  auto iso_seq = engine::EvaluateToSequence(iso.value().isolated, *doc_);
+  auto iso_seq = testutil::Drain(engine::columnar::OpenSequenceStreamColumnar(
+      iso.value().isolated, *doc_, {}));
   ASSERT_TRUE(iso_seq.ok()) << iso_seq.status().ToString();
   EXPECT_EQ(iso_seq.value(), expected) << "isolated vs interpreter";
 

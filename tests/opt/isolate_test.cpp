@@ -5,12 +5,13 @@
 #include "src/algebra/dag.h"
 #include "src/algebra/printer.h"
 #include "src/compiler/compile.h"
-#include "src/engine/algebra_exec.h"
+#include "src/engine/columnar/columnar_exec.h"
 #include "src/opt/isolate.h"
 #include "src/opt/join_graph.h"
 #include "src/xml/parser.h"
 #include "src/xquery/normalize.h"
 #include "src/xquery/parser.h"
+#include "tests/testutil/fixtures.h"
 
 namespace xqjg {
 namespace {
@@ -43,6 +44,13 @@ Result<OpPtr> CompileText(const std::string& query) {
   return compiler::CompileQuery(core);
 }
 
+/// The result sequence of a serialize-rooted plan, run on the pipeline.
+Result<std::vector<int64_t>> RunOnPipeline(const OpPtr& plan,
+                                           const xml::DocTable& doc) {
+  return testutil::Drain(
+      engine::columnar::OpenSequenceStreamColumnar(plan, doc, {}));
+}
+
 constexpr const char* kQ1 =
     "for $x in doc(\"auction.xml\")/descendant::open_auction "
     "return if ($x/child::bidder) then $x else ()";
@@ -51,7 +59,7 @@ TEST(Pipeline, Q1StackedEvaluates) {
   xml::DocTable doc = AuctionSnippet();
   auto plan = CompileText(kQ1);
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-  auto seq = engine::EvaluateToSequence(plan.value(), doc);
+  auto seq = RunOnPipeline(plan.value(), doc);
   ASSERT_TRUE(seq.ok()) << seq.status().ToString();
   // open_auction id=1 (pre 2) and id=3 have bidders; id=2 does not.
   std::vector<std::string> names;
@@ -68,12 +76,12 @@ TEST(Pipeline, Q1IsolationPreservesResult) {
   xml::DocTable doc = AuctionSnippet();
   auto plan = CompileText(kQ1);
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-  auto stacked_seq = engine::EvaluateToSequence(plan.value(), doc);
+  auto stacked_seq = RunOnPipeline(plan.value(), doc);
   ASSERT_TRUE(stacked_seq.ok());
 
   auto iso = opt::Isolate(plan.value());
   ASSERT_TRUE(iso.ok()) << iso.status().ToString();
-  auto iso_seq = engine::EvaluateToSequence(iso.value().isolated, doc);
+  auto iso_seq = RunOnPipeline(iso.value().isolated, doc);
   ASSERT_TRUE(iso_seq.ok()) << iso_seq.status().ToString()
                             << "\n" << algebra::PrintPlan(iso.value().isolated);
   EXPECT_EQ(stacked_seq.value(), iso_seq.value());

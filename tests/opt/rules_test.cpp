@@ -6,11 +6,12 @@
 #include "src/algebra/dag.h"
 #include "src/algebra/printer.h"
 #include "src/compiler/compile.h"
-#include "src/engine/algebra_exec.h"
+#include "src/engine/columnar/columnar_exec.h"
 #include "src/opt/rules.h"
 #include "src/xml/parser.h"
 #include "src/xquery/normalize.h"
 #include "src/xquery/parser.h"
+#include "tests/testutil/fixtures.h"
 
 namespace xqjg::opt {
 namespace {
@@ -33,6 +34,13 @@ Result<OpPtr> CompileText(const std::string& query) {
   nopts.context_document = "t.xml";
   XQJG_ASSIGN_OR_RETURN(xquery::ExprPtr core, xquery::Normalize(ast, nopts));
   return compiler::CompileQuery(core);
+}
+
+/// The result sequence of a serialize-rooted plan, run on the pipeline.
+Result<std::vector<int64_t>> RunOnPipeline(const OpPtr& plan,
+                                           const xml::DocTable& doc) {
+  return testutil::Drain(
+      engine::columnar::OpenSequenceStreamColumnar(plan, doc, {}));
 }
 
 int Applications(const Rewriter& rw, const std::string& rule) {
@@ -102,18 +110,18 @@ TEST(Rules, EveryPhasePreservesResults) {
     SCOPED_TRACE(q);
     auto plan = CompileText(q);
     ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-    auto before = engine::EvaluateToSequence(plan.value(), doc);
+    auto before = RunOnPipeline(plan.value(), doc);
     ASSERT_TRUE(before.ok());
 
     Rewriter rank_only(algebra::ClonePlan(plan.value()));
     ASSERT_TRUE(rank_only.RunRankPhase().ok());
-    auto mid = engine::EvaluateToSequence(rank_only.root(), doc);
+    auto mid = RunOnPipeline(rank_only.root(), doc);
     ASSERT_TRUE(mid.ok()) << mid.status().ToString();
     EXPECT_EQ(mid.value(), before.value()) << "after rank phase";
 
     Rewriter full(algebra::ClonePlan(plan.value()));
     ASSERT_TRUE(full.Run().ok());
-    auto after = engine::EvaluateToSequence(full.root(), doc);
+    auto after = RunOnPipeline(full.root(), doc);
     ASSERT_TRUE(after.ok()) << after.status().ToString()
                             << algebra::PrintPlan(full.root());
     EXPECT_EQ(after.value(), before.value()) << "after full isolation";

@@ -9,6 +9,12 @@
 #include "src/xquery/normalize.h"
 #include "src/xquery/parser.h"
 
+namespace xqjg {
+
+void PrintTo(const Value& value, std::ostream* os) { *os << value.ToString(); }
+
+}  // namespace xqjg
+
 namespace xqjg::testutil {
 
 const char* TinyBibXml() {
@@ -127,6 +133,18 @@ Result<std::vector<int64_t>> Drain(
     XQJG_RETURN_NOT_OK(stream.value()->Next(kBatch, &out));
     if (out.size() - before < kBatch) return out;
   }
+}
+
+std::vector<std::vector<Value>> Rows(
+    const engine::columnar::ColumnBatch& batch) {
+  std::vector<std::vector<Value>> rows(batch.num_rows);
+  for (size_t r = 0; r < batch.num_rows; ++r) {
+    rows[r].reserve(batch.cols.size());
+    for (const engine::columnar::ColumnRef& col : batch.cols) {
+      rows[r].push_back(col->GetValue(batch.PhysRow(r)));
+    }
+  }
+  return rows;
 }
 
 }  // namespace xqjg::testutil

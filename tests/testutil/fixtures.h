@@ -5,13 +5,23 @@
 
 #include <cstdint>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
 #include "src/algebra/operators.h"
 #include "src/common/status.h"
+#include "src/common/value.h"
+#include "src/engine/columnar/column_batch.h"
 #include "src/engine/exec_stream.h"
 #include "src/xml/infoset.h"
+
+namespace xqjg {
+
+/// Lets gtest print Values (and tables of them) in failure messages.
+void PrintTo(const Value& value, std::ostream* os);
+
+}  // namespace xqjg
 
 namespace xqjg::testutil {
 
@@ -41,6 +51,13 @@ Result<algebra::OpPtr> CompileToPlan(const std::string& query,
 /// An open error, or an error mid-drain, is returned as is.
 Result<std::vector<int64_t>> Drain(
     Result<std::unique_ptr<engine::SequenceStream>> stream);
+
+/// The logical rows of `batch`, in order, one Value per column — the
+/// form in which tests compare a pipeline result with a literal table:
+///   EXPECT_EQ(Rows(columnar::EvaluateColumnar(plan, doc).value()),
+///             (std::vector<std::vector<Value>>{{Value::Int(1)}}));
+std::vector<std::vector<Value>> Rows(
+    const engine::columnar::ColumnBatch& batch);
 
 }  // namespace xqjg::testutil
 
