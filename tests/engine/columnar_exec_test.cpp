@@ -1,12 +1,12 @@
 // Columnar batch executor: typed-column round trips, the doc relation
-// batch against the DocTable accessors, every algebra operator on
-// hand-built plans against literal expected tables (σ, π, ⋈ with and
-// without a residual, the nested-loop range join, ×, δ, #, ϱ with ties,
-// NULL and mixed-type comparison semantics, the row budget), the
-// NULL-join-key regression (NULL keys must never match in a hash join, in
-// an algebra plan and in a lowered join-graph plan), and the memoization
-// regression (shared sub-plans are materialized — and counted — exactly
-// once).
+// batch's literal cells and its agreement with the DocTable accessors,
+// every algebra operator on hand-built plans against literal expected
+// tables (σ, π, ⋈ with and without a residual, the nested-loop range join,
+// ×, δ, #, ϱ with ties, NULL and mixed-type comparison semantics, the row
+// budget), the NULL-join-key regression (NULL keys must never match in a
+// hash join, in an algebra plan and in a lowered join-graph plan), and the
+// memoization regression (shared sub-plans are materialized — and counted
+// — exactly once).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -109,12 +109,13 @@ TEST(ValueColumn, TypedPathMatchesValueSemantics) {
   EXPECT_FALSE(ValueColumn::SortLessAt(ints, 0, doubles, 0));
 }
 
-TEST(ColumnBatch, DocRelationBatchMatchesDocTable) {
-  // Literal cells of a five-node document: DOC, <a>, @x, <b>, text.
-  xml::DocTable small =
+TEST(AlgebraExec, BuildDocRelationColumns) {
+  // Literal cells of the doc relation the executor builds for a five-node
+  // document: DOC, <a>, @x, <b>, text.
+  xml::DocTable doc =
       testutil::LoadDoc("d.xml", "<a x=\"3.5\"><b>hi</b></a>");
   BudgetClock clock;
-  auto rel = columnar::DocRelationBatch(small, &clock);
+  auto rel = columnar::DocRelationBatch(doc, &clock);
   ASSERT_TRUE(rel.ok()) << rel.status().ToString();
   ASSERT_EQ(rel.value().schema, algebra::DocColumns());
   const Table rows = testutil::Rows(rel.value());
@@ -125,7 +126,11 @@ TEST(ColumnBatch, DocRelationBatchMatchesDocTable) {
   EXPECT_EQ(rows[2][col("value")].AsString(), "3.5");  // @x
   EXPECT_DOUBLE_EQ(rows[2][col("data")].AsDouble(), 3.5);
   EXPECT_TRUE(rows[1][col("value")].is_null()) << "<a> has size 3";
-  // Every cell of a larger document against the DocTable accessors.
+}
+
+TEST(ColumnBatch, DocRelationBatchMatchesDocTable) {
+  // Every cell of the doc relation against the DocTable accessors.
+  BudgetClock clock;
   xml::DocTable doc = testutil::LoadDoc("bib.xml", testutil::TinyBibXml());
   auto batch = columnar::DocRelationBatch(doc, &clock);
   ASSERT_TRUE(batch.ok()) << batch.status().ToString();
