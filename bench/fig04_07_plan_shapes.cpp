@@ -1,8 +1,12 @@
 // Reproduces Figs 4 and 7 (and the §II-D discussion): the stacked plan's
 // operator profile versus the isolated plan, per query — operator census,
-// blocking-operator counts, and the full Q1 plans.
+// blocking-operator counts, the time isolation takes, and the full Q1
+// plans.
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "bench/bench_common.h"
 #include "src/algebra/dag.h"
@@ -14,11 +18,32 @@
 
 using namespace xqjg;
 
+namespace {
+
+constexpr int kIsolateRuns = 25;
+
+/// Min and median wall time of opt::Isolate on `plan`, in milliseconds.
+std::pair<double, double> TimeIsolate(const algebra::OpPtr& plan) {
+  std::vector<double> ms;
+  for (int run = 0; run < kIsolateRuns; ++run) {
+    const auto started = std::chrono::steady_clock::now();
+    auto iso = opt::Isolate(plan);
+    ms.push_back(std::chrono::duration<double, std::milli>(
+                     std::chrono::steady_clock::now() - started)
+                     .count());
+    if (!iso.ok()) return {-1.0, -1.0};
+  }
+  std::sort(ms.begin(), ms.end());
+  return {ms.front(), ms[ms.size() / 2]};
+}
+
+}  // namespace
+
 int main() {
   std::printf("Fig. 4 / Fig. 7 — stacked vs isolated plan shapes\n\n");
-  std::printf("%-5s %8s %8s | %7s %7s %7s | %7s %7s %7s\n", "Query",
-              "ops-in", "ops-out", "dist-in", "rank-in", "rowid-in",
-              "dist-out", "rank-out", "rowid-out");
+  std::printf("%-5s %8s %8s | %7s %7s %7s | %7s %7s %7s | %9s %9s\n",
+              "Query", "ops-in", "ops-out", "dist-in", "rank-in", "rowid-in",
+              "dist-out", "rank-out", "rowid-out", "iso-min", "iso-med");
   std::string json = "{\"bench\":\"plan_shapes\",\"queries\":[";
   bool first = true;
   for (const auto& q : api::PaperQueries()) {
@@ -32,27 +57,34 @@ int main() {
     if (!iso.ok()) continue;
     using algebra::CountOps;
     using algebra::OpKind;
-    std::printf("%-5s %8zu %8zu | %7zu %7zu %7zu | %7zu %7zu %7zu\n",
-                q.id.c_str(), iso.value().ops_before, iso.value().ops_after,
-                CountOps(plan.value(), OpKind::kDistinct),
-                CountOps(plan.value(), OpKind::kRank),
-                CountOps(plan.value(), OpKind::kRowId),
-                CountOps(iso.value().isolated, OpKind::kDistinct),
-                CountOps(iso.value().isolated, OpKind::kRank),
-                CountOps(iso.value().isolated, OpKind::kRowId));
-    char buf[512];
+    const auto [iso_min_ms, iso_median_ms] = TimeIsolate(plan.value());
+    std::printf(
+        "%-5s %8zu %8zu | %7zu %7zu %7zu | %7zu %7zu %7zu | %6.2f ms %6.2f ms"
+        "\n",
+        q.id.c_str(), iso.value().ops_before, iso.value().ops_after,
+        CountOps(plan.value(), OpKind::kDistinct),
+        CountOps(plan.value(), OpKind::kRank),
+        CountOps(plan.value(), OpKind::kRowId),
+        CountOps(iso.value().isolated, OpKind::kDistinct),
+        CountOps(iso.value().isolated, OpKind::kRank),
+        CountOps(iso.value().isolated, OpKind::kRowId), iso_min_ms,
+        iso_median_ms);
+    char buf[640];
     std::snprintf(
         buf, sizeof(buf),
         "%s{\"id\":\"%s\",\"ops_before\":%zu,\"ops_after\":%zu,"
         "\"distinct_before\":%zu,\"rank_before\":%zu,\"rowid_before\":%zu,"
-        "\"distinct_after\":%zu,\"rank_after\":%zu,\"rowid_after\":%zu}",
+        "\"distinct_after\":%zu,\"rank_after\":%zu,\"rowid_after\":%zu,"
+        "\"isolate_runs\":%d,\"isolate_ms_min\":%.4f,"
+        "\"isolate_ms_median\":%.4f}",
         first ? "" : ",", q.id.c_str(), iso.value().ops_before,
         iso.value().ops_after, CountOps(plan.value(), OpKind::kDistinct),
         CountOps(plan.value(), OpKind::kRank),
         CountOps(plan.value(), OpKind::kRowId),
         CountOps(iso.value().isolated, OpKind::kDistinct),
         CountOps(iso.value().isolated, OpKind::kRank),
-        CountOps(iso.value().isolated, OpKind::kRowId));
+        CountOps(iso.value().isolated, OpKind::kRowId), kIsolateRuns,
+        iso_min_ms, iso_median_ms);
     json += buf;
     first = false;
   }

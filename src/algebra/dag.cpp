@@ -55,24 +55,6 @@ bool Reaches(const Op* from, const Op* target) {
   return walk(from);
 }
 
-size_t ReplaceChild(const OpPtr& root, const Op* old_child, OpPtr new_child) {
-  size_t replaced = 0;
-  // The topo order holds raw pointers; overwriting a child slot may drop
-  // the last strong reference to the detached subtree, whose descendants
-  // appear later in the walk. Pin it until the walk completes.
-  OpPtr keep_alive;
-  for (Op* op : TopoOrder(root)) {
-    for (auto& child : op->children) {
-      if (child.get() == old_child) {
-        if (!keep_alive) keep_alive = child;
-        child = new_child;
-        ++replaced;
-      }
-    }
-  }
-  return replaced;
-}
-
 namespace {
 OpPtr CloneRec(const OpPtr& op,
                std::unordered_map<const Op*, OpPtr>* memo) {

@@ -1,5 +1,6 @@
 // DAG utilities for algebra plans: traversal orders, parent maps,
-// reachability (the paper's ⇛ relation), and node replacement.
+// reachability (the paper's ⇛ relation), and cloning. The rewriter
+// replaces nodes through its own parent links (src/opt/rewrite_state.h).
 #ifndef XQJG_ALGEBRA_DAG_H_
 #define XQJG_ALGEBRA_DAG_H_
 
@@ -35,11 +36,6 @@ ParentMap BuildParentMap(const OpPtr& root);
 /// True iff `target` is reachable from `from` (from ⇛ target), following
 /// child edges. A node reaches itself.
 bool Reaches(const Op* from, const Op* target);
-
-/// Replaces every occurrence of child `old_child` with `new_child` in the
-/// plan under `root` (including the root's own child slots). Returns the
-/// number of links rewritten.
-size_t ReplaceChild(const OpPtr& root, const Op* old_child, OpPtr new_child);
 
 /// Deep copy of the DAG preserving sharing (shared nodes stay shared in
 /// the copy). The rewriter mutates plans in place; clone first when the

@@ -70,6 +70,19 @@ struct CompileDiagnostics {
   /// Blocking operators surviving isolation (ϱ / δ).
   size_t ranks_after = 0;
   size_t distincts_after = 0;
+  /// Wall time of each front-end stage of Prepare, in seconds; 0 for the
+  /// stages a mode skips. `plan` is join ordering plus lowering onto the
+  /// batch pipeline. Validation, SQL text and EXPLAIN rendering are in no
+  /// stage, so the sum is at most PreparedQuery::compile_seconds.
+  struct StageSeconds {
+    double parse = 0.0;
+    double normalize = 0.0;
+    double compile = 0.0;
+    double isolate = 0.0;
+    double extract = 0.0;
+    double plan = 0.0;
+  };
+  StageSeconds stage_seconds;
 };
 
 /// An immutable compiled query: normalized Core AST, compiled plans, the

@@ -319,17 +319,29 @@ Result<std::shared_ptr<const PreparedQuery>> XQueryProcessor::Prepare(
 Result<std::shared_ptr<const PreparedQuery>> XQueryProcessor::PrepareUncached(
     const std::string& query, const PrepareOptions& options,
     const std::shared_ptr<const CatalogSnapshot>& snapshot) const {
-  const auto started = std::chrono::steady_clock::now();
+  using Clock = std::chrono::steady_clock;
+  const auto started = Clock::now();
+  // Seconds since `*mark`, which moves to now.
+  auto lap = [](Clock::time_point* mark) {
+    const Clock::time_point now = Clock::now();
+    const double seconds = std::chrono::duration<double>(now - *mark).count();
+    *mark = now;
+    return seconds;
+  };
   auto out = std::make_shared<PreparedQuery>();
+  CompileDiagnostics::StageSeconds& stages = out->diagnostics.stage_seconds;
   out->query_text = query;
   out->options = options;
   out->catalog = snapshot;
   out->catalog_generation = snapshot->generation;
 
+  Clock::time_point mark = Clock::now();
   XQJG_ASSIGN_OR_RETURN(xquery::ExprPtr ast, xquery::Parse(query));
+  stages.parse = lap(&mark);
   xquery::NormalizeOptions norm_options;
   norm_options.context_document = options.context_document;
   XQJG_ASSIGN_OR_RETURN(out->core, xquery::Normalize(ast, norm_options));
+  stages.normalize = lap(&mark);
 
   // Touched-catalog metadata: the documents the query reads (with their
   // current epochs) and which index sets the mode consults. This is what
@@ -357,9 +369,7 @@ Result<std::shared_ptr<const PreparedQuery>> XQueryProcessor::PrepareUncached(
 
   auto finish = [&]() -> std::shared_ptr<const PreparedQuery> {
     out->compile_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      started)
-            .count();
+        std::chrono::duration<double>(Clock::now() - started).count();
     return out;
   };
 
@@ -373,7 +383,9 @@ Result<std::shared_ptr<const PreparedQuery>> XQueryProcessor::PrepareUncached(
   // Relational modes: compile to the stacked table-algebra plan.
   compiler::CompileOptions copts;
   copts.explicit_serialization_step = options.explicit_serialization_step;
+  mark = Clock::now();
   XQJG_ASSIGN_OR_RETURN(out->stacked, compiler::CompileQuery(out->core, copts));
+  stages.compile = lap(&mark);
   out->diagnostics.ops_stacked = algebra::CountOps(out->stacked);
   if (validate) {
     XQJG_RETURN_NOT_OK(algebra::Validate(out->stacked, "compile", vopts));
@@ -386,7 +398,9 @@ Result<std::shared_ptr<const PreparedQuery>> XQueryProcessor::PrepareUncached(
   }
 
   // Join-graph mode: isolate, extract, and cost-based plan.
+  mark = Clock::now();
   XQJG_ASSIGN_OR_RETURN(opt::IsolationResult iso, opt::Isolate(out->stacked));
+  stages.isolate = lap(&mark);
   out->isolated = iso.isolated;
   out->diagnostics.rule_counts = std::move(iso.rule_counts);
   out->diagnostics.ops_isolated = iso.ops_after;
@@ -396,7 +410,9 @@ Result<std::shared_ptr<const PreparedQuery>> XQueryProcessor::PrepareUncached(
     XQJG_RETURN_NOT_OK(algebra::Validate(out->isolated, "isolate", vopts));
   }
 
+  mark = Clock::now();
   auto graph = opt::ExtractJoinGraph(out->isolated);
+  stages.extract = lap(&mark);
   if (graph.ok()) {
     auto owned = std::make_unique<opt::JoinGraph>(std::move(graph).value());
     if (validate) {
@@ -406,12 +422,14 @@ Result<std::shared_ptr<const PreparedQuery>> XQueryProcessor::PrepareUncached(
     out->sql = sql::EmitJoinGraphSql(*owned);
     engine::PlannerOptions popts;
     popts.syntactic_order = options.syntactic_join_order;
+    mark = Clock::now();
     XQJG_ASSIGN_OR_RETURN(
         out->plan,
         engine::PlanJoinGraph(*owned, *snapshot->relational_db(), popts));
     out->graph = std::move(owned);  // plan.graph points into *graph
     XQJG_ASSIGN_OR_RETURN(out->lowered,
                           engine::columnar::LowerPlan(out->plan));
+    stages.plan = lap(&mark);
     out->has_plan = true;
     out->explain = engine::ExplainPlan(out->plan);
     CollectUsedIndexes(out->plan.root.get(), &out->used_indexes);

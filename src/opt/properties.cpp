@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
 
 namespace xqjg::opt {
 
@@ -9,63 +10,79 @@ using algebra::Op;
 using algebra::OpKind;
 using algebra::OpPtr;
 
-bool NodeProps::HasKeyWithin(const std::set<std::string>& cols) const {
-  for (const auto& key : keys) {
-    if (std::includes(cols.begin(), cols.end(), key.begin(), key.end())) {
-      return true;
-    }
-  }
-  return false;
-}
-
-bool NodeProps::HasKeyWithinModuloEq(const std::set<std::string>& cols) const {
-  auto class_of = [&](const std::string& c) {
-    auto it = eq_class.find(c);
-    return it == eq_class.end() ? -1 : it->second;
-  };
-  for (const auto& key : keys) {
-    bool all = true;
-    for (const auto& kcol : key) {
-      if (cols.count(kcol)) continue;
-      const int cls = class_of(kcol);
-      bool represented = false;
-      if (cls >= 0) {
-        for (const auto& c : cols) {
-          if (class_of(c) == cls) {
-            represented = true;
-            break;
-          }
-        }
-      }
-      if (!represented) {
-        all = false;
-        break;
-      }
-    }
-    if (all) return true;
-  }
-  return false;
-}
-
-bool NodeProps::HasSingletonKey(const std::string& col) const {
-  for (const auto& key : keys) {
-    if (key.size() == 1 && *key.begin() == col) return true;
-  }
-  return false;
-}
-
 namespace {
+
+bool Contains(const ColSet& set, ColId col) {
+  return std::binary_search(set.begin(), set.end(), col);
+}
+
+void InsertSorted(ColSet* set, ColId col) {
+  auto it = std::lower_bound(set->begin(), set->end(), col);
+  if (it == set->end() || *it != col) set->insert(it, col);
+}
+
+template <typename T>
+const T* FindSorted(const std::vector<std::pair<ColId, T>>& pairs,
+                    ColId col) {
+  auto it = std::lower_bound(
+      pairs.begin(), pairs.end(), col,
+      [](const std::pair<ColId, T>& e, ColId c) { return e.first < c; });
+  return it != pairs.end() && it->first == col ? &it->second : nullptr;
+}
+
+template <typename T>
+void SortByCol(std::vector<std::pair<ColId, T>>* pairs) {
+  std::sort(pairs->begin(), pairs->end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+}
+
+/// Merges two column-sorted pair lists over disjoint columns.
+template <typename T>
+std::vector<std::pair<ColId, T>> MergeByCol(
+    const std::vector<std::pair<ColId, T>>& a,
+    const std::vector<std::pair<ColId, T>>& b) {
+  std::vector<std::pair<ColId, T>> out;
+  out.reserve(a.size() + b.size());
+  std::merge(a.begin(), a.end(), b.begin(), b.end(), std::back_inserter(out),
+             [](const auto& x, const auto& y) { return x.first < y.first; });
+  return out;
+}
+
+ColSet ToIds(const ColumnIds* names, const std::set<std::string>& cols) {
+  ColSet out;
+  for (const auto& name : cols) {
+    const ColId id = names->Find(name);
+    if (id != kNoCol) out.push_back(id);
+  }
+  Normalize(&out);
+  return out;
+}
+
+/// Appends the columns `pred` references, interned.
+void AddPredCols(const algebra::Predicate& pred, ColumnIds* ids,
+                 ColSet* out) {
+  for (const auto& c : pred.conjuncts) {
+    for (const algebra::Term* term : {&c.lhs, &c.rhs}) {
+      if (!term->col.empty()) out->push_back(ids->Intern(term->col));
+      if (!term->col2.empty()) out->push_back(ids->Intern(term->col2));
+    }
+  }
+}
+
+bool IsSingleColEq(const Op& op) {
+  return op.kind == OpKind::kJoin && op.pred.conjuncts.size() == 1 &&
+         op.pred.conjuncts[0].IsColEq();
+}
 
 /// Inserts `key` into `keys`, keeping only minimal keys and respecting the
 /// size caps. Columns known to be constant contribute nothing to a key and
 /// are stripped first (e.g. the top-level loop's iter = 1), which exposes
 /// singleton keys the rowid-elimination rule needs.
-void AddKey(std::vector<std::set<std::string>>* keys,
-            std::set<std::string> key,
-            const std::map<std::string, Value>* consts = nullptr) {
+void AddKey(std::vector<ColSet>* keys, ColSet key,
+            const std::vector<std::pair<ColId, Value>>* consts = nullptr) {
   if (consts) {
     for (auto it = key.begin(); it != key.end();) {
-      if (consts->count(*it) && key.size() > 1) {
+      if (FindSorted(*consts, *it) && key.size() > 1) {
         it = key.erase(it);
       } else {
         ++it;
@@ -81,7 +98,7 @@ void AddKey(std::vector<std::set<std::string>>* keys,
   }
   // Drop existing keys that are supersets of the new one.
   keys->erase(std::remove_if(keys->begin(), keys->end(),
-                             [&](const std::set<std::string>& k) {
+                             [&](const ColSet& k) {
                                return std::includes(k.begin(), k.end(),
                                                     key.begin(), key.end());
                              }),
@@ -89,48 +106,55 @@ void AddKey(std::vector<std::set<std::string>>* keys,
   if (keys->size() < kMaxKeys) keys->push_back(std::move(key));
 }
 
-// ---------------- bottom-up: const and key (Tables III, IV) --------------
+// ---------------- bottom-up: eq_class, const and key (Tables III, IV) -----
 
-/// Column equality classes, bottom-up. Fresh class ids are allocated per
-/// projection so two independent references to a shared subplan never
-/// alias (each reference ranges over its own tuple variable).
-void InferEqClasses(Op* op, std::unordered_map<const Op*, NodeProps>* props,
-                    int* next_class) {
-  NodeProps& p = (*props)[op];
-  auto child = [&](size_t i) -> const NodeProps& {
-    return (*props)[op->children[i].get()];
-  };
-  switch (op->kind) {
+void InferEqClasses(const Op& op, const NodeProps* const* kids,
+                    ColumnIds* ids, NodeProps* p) {
+  auto& eq = p->eq_class;
+  switch (op.kind) {
     case OpKind::kDocTable:
     case OpKind::kLiteral:
-      for (const auto& col : op->schema) p.eq_class[col] = (*next_class)++;
+      for (ColId col : p->cols) eq.emplace_back(col, col);
       break;
     case OpKind::kProject: {
-      std::map<int, int> remap;
-      for (const auto& [out, in] : op->proj) {
-        auto it = child(0).eq_class.find(in);
-        const int src = it == child(0).eq_class.end() ? -1 : it->second;
-        if (src < 0) {
-          p.eq_class[out] = (*next_class)++;
+      // Outputs copying one input class form one class, named by the
+      // least of those outputs.
+      std::vector<std::pair<ColId, ColId>> least;  // input class -> output
+      std::vector<std::pair<ColId, ColId>> src_of;  // output -> input class
+      for (const auto& [o, in] : p->proj) {
+        const ColId src = kids[0]->EqClassOf(in);
+        src_of.emplace_back(o, src);
+        if (src == kNoCol) continue;
+        auto it = std::find_if(least.begin(), least.end(),
+                               [&](const auto& e) { return e.first == src; });
+        if (it == least.end()) {
+          least.emplace_back(src, o);
+        } else {
+          it->second = std::min(it->second, o);
+        }
+      }
+      for (const auto& [o, src] : src_of) {
+        if (src == kNoCol) {
+          eq.emplace_back(o, o);
           continue;
         }
-        auto rit = remap.find(src);
-        if (rit == remap.end()) rit = remap.emplace(src, (*next_class)++).first;
-        p.eq_class[out] = rit->second;
+        auto it = std::find_if(least.begin(), least.end(),
+                               [&](const auto& e) { return e.first == src; });
+        eq.emplace_back(o, it->second);
       }
+      SortByCol(&eq);
       break;
     }
     case OpKind::kJoin:
     case OpKind::kCross: {
-      p.eq_class = child(0).eq_class;
-      p.eq_class.insert(child(1).eq_class.begin(), child(1).eq_class.end());
-      if (op->kind == OpKind::kJoin && op->pred.conjuncts.size() == 1 &&
-          op->pred.conjuncts[0].IsColEq()) {
-        auto ita = p.eq_class.find(op->pred.conjuncts[0].lhs.col);
-        auto itb = p.eq_class.find(op->pred.conjuncts[0].rhs.col);
-        if (ita != p.eq_class.end() && itb != p.eq_class.end()) {
-          const int from = itb->second, to = ita->second;
-          for (auto& [col, cls] : p.eq_class) {
+      eq = MergeByCol(kids[0]->eq_class, kids[1]->eq_class);
+      if (IsSingleColEq(op)) {
+        const algebra::Comparison& eq_pred = op.pred.conjuncts[0];
+        const ColId ca = p->EqClassOf(ids->Intern(eq_pred.lhs.col));
+        const ColId cb = p->EqClassOf(ids->Intern(eq_pred.rhs.col));
+        if (ca != kNoCol && cb != kNoCol) {
+          const ColId to = std::min(ca, cb), from = std::max(ca, cb);
+          for (auto& [col, cls] : eq) {
             if (cls == from) cls = to;
           }
         }
@@ -139,281 +163,440 @@ void InferEqClasses(Op* op, std::unordered_map<const Op*, NodeProps>* props,
     }
     case OpKind::kAttach:
     case OpKind::kRowId:
-    case OpKind::kRank:
-      p.eq_class = child(0).eq_class;
-      p.eq_class[op->col] = (*next_class)++;
+    case OpKind::kRank: {
+      eq = kids[0]->eq_class;
+      const ColId col = ids->Intern(op.col);
+      eq.emplace_back(col, col);
+      SortByCol(&eq);
       break;
+    }
     default:
-      p.eq_class = child(0).eq_class;
+      eq = kids[0]->eq_class;
       break;
-  }
-}
-
-void InferBottomUp(const std::vector<Op*>& bottom_up,
-                   std::unordered_map<const Op*, NodeProps>* props) {
-  int next_class = 1;
-  for (Op* op : bottom_up) {
-    InferEqClasses(op, props, &next_class);
-    NodeProps& p = (*props)[op];
-    auto child = [&](size_t i) -> const NodeProps& {
-      return (*props)[op->children[i].get()];
-    };
-    switch (op->kind) {
-      case OpKind::kSerialize:
-      case OpKind::kDistinct: {
-        p.consts = child(0).consts;
-        p.keys = child(0).keys;
-        if (op->kind == OpKind::kDistinct) {
-          AddKey(&p.keys,
-                 std::set<std::string>(op->schema.begin(),
-                                       op->schema.end()),
-                 &p.consts);
-        }
-        break;
-      }
-      case OpKind::kProject: {
-        const NodeProps& c = child(0);
-        for (const auto& [out, in] : op->proj) {
-          auto it = c.consts.find(in);
-          if (it != c.consts.end()) p.consts[out] = it->second;
-        }
-        for (const auto& key : c.keys) {
-          // Rename keys fully contained in the projection's sources. A
-          // source duplicated into several outputs yields one candidate
-          // key per output choice (the copies hold equal values).
-          std::vector<std::set<std::string>> renamed = {{}};
-          bool covered = true;
-          for (const auto& kcol : key) {
-            std::vector<std::string> outs;
-            for (const auto& [out, in] : op->proj) {
-              if (in == kcol) outs.push_back(out);
-            }
-            if (outs.empty()) {
-              covered = false;
-              break;
-            }
-            std::vector<std::set<std::string>> expanded;
-            for (const auto& base : renamed) {
-              for (const auto& out : outs) {
-                if (expanded.size() >= 8) break;
-                std::set<std::string> next = base;
-                next.insert(out);
-                expanded.push_back(std::move(next));
-              }
-            }
-            renamed = std::move(expanded);
-          }
-          if (covered) {
-            for (auto& candidate : renamed) {
-              AddKey(&p.keys, std::move(candidate), &p.consts);
-            }
-          }
-        }
-        break;
-      }
-      case OpKind::kSelect:
-        p.consts = child(0).consts;
-        p.keys = child(0).keys;
-        break;
-      case OpKind::kJoin:
-      case OpKind::kCross: {
-        const NodeProps& l = child(0);
-        const NodeProps& r = child(1);
-        p.consts = l.consts;
-        p.consts.insert(r.consts.begin(), r.consts.end());
-        bool equi_handled = false;
-        if (op->kind == OpKind::kJoin && op->pred.conjuncts.size() == 1 &&
-            op->pred.conjuncts[0].IsColEq()) {
-          const std::string& a = op->pred.conjuncts[0].lhs.col;
-          const std::string& b = op->pred.conjuncts[0].rhs.col;
-          const bool a_left = op->children[0]->HasColumn(a);
-          const std::string& lcol = a_left ? a : b;
-          const std::string& rcol = a_left ? b : a;
-          // Table IV, equi-join: if the right join column is a key of the
-          // right input, every left key survives (and vice versa).
-          if (r.HasSingletonKey(rcol)) {
-            for (const auto& k : l.keys) AddKey(&p.keys, k, &p.consts);
-            equi_handled = true;
-          }
-          if (l.HasSingletonKey(lcol)) {
-            for (const auto& k : r.keys) AddKey(&p.keys, k, &p.consts);
-            equi_handled = true;
-          }
-        }
-        if (!equi_handled) {
-          for (const auto& k1 : l.keys) {
-            for (const auto& k2 : r.keys) {
-              std::set<std::string> combined = k1;
-              combined.insert(k2.begin(), k2.end());
-              AddKey(&p.keys, std::move(combined), &p.consts);
-            }
-          }
-        }
-        // For an equi-join a = b, every output row satisfies a = b, so a
-        // and b are interchangeable inside candidate keys.
-        if (op->kind == OpKind::kJoin && op->pred.conjuncts.size() == 1 &&
-            op->pred.conjuncts[0].IsColEq()) {
-          const std::string& a = op->pred.conjuncts[0].lhs.col;
-          const std::string& b = op->pred.conjuncts[0].rhs.col;
-          const std::vector<std::set<std::string>> snapshot = p.keys;
-          for (const auto& k : snapshot) {
-            if (k.count(a)) {
-              std::set<std::string> swapped = k;
-              swapped.erase(a);
-              swapped.insert(b);
-              AddKey(&p.keys, std::move(swapped), &p.consts);
-            }
-            if (k.count(b)) {
-              std::set<std::string> swapped = k;
-              swapped.erase(b);
-              swapped.insert(a);
-              AddKey(&p.keys, std::move(swapped), &p.consts);
-            }
-          }
-        }
-        break;
-      }
-      case OpKind::kAttach:
-        p.consts = child(0).consts;
-        p.consts[op->col] = op->val;
-        p.keys = child(0).keys;
-        break;
-      case OpKind::kRowId:
-        p.consts = child(0).consts;
-        p.keys = child(0).keys;
-        AddKey(&p.keys, {op->col}, &p.consts);
-        break;
-      case OpKind::kRank: {
-        const NodeProps& c = child(0);
-        p.consts = c.consts;
-        p.keys = c.keys;
-        // Table IV ϱ: rank col + (key minus order cols) is a key whenever
-        // the key overlapped the ordering criteria.
-        for (const auto& k : c.keys) {
-          bool overlaps = false;
-          for (const auto& b : op->order) {
-            if (k.count(b)) overlaps = true;
-          }
-          if (!overlaps) continue;
-          std::set<std::string> nk = {op->col};
-          for (const auto& kcol : k) {
-            if (std::find(op->order.begin(), op->order.end(), kcol) ==
-                op->order.end()) {
-              nk.insert(kcol);
-            }
-          }
-          AddKey(&p.keys, std::move(nk), &p.consts);
-        }
-        break;
-      }
-      case OpKind::kDocTable:
-        AddKey(&p.keys, {"pre"});
-        break;
-      case OpKind::kLiteral:
-        if (op->rows.size() == 1) {
-          for (size_t i = 0; i < op->schema.size(); ++i) {
-            p.consts[op->schema[i]] = op->rows[0][i];
-          }
-        }
-        if (op->rows.size() <= 1) {
-          for (const auto& col : op->schema) AddKey(&p.keys, {col}, &p.consts);
-        }
-        break;
-    }
-  }
-}
-
-// ---------------- top-down: icols and set (Tables II, V) ------------------
-
-void InferTopDown(const std::vector<Op*>& topo,
-                  std::unordered_map<const Op*, NodeProps>* props) {
-  // Initialize: icols empty, set true everywhere; the serialize root seeds
-  // its own icols and set=false.
-  for (Op* op : topo) {
-    NodeProps& p = (*props)[op];
-    p.icols.clear();
-    p.dedup_upstream = true;
-  }
-  if (!topo.empty() && topo.front()->kind == OpKind::kSerialize) {
-    NodeProps& root = (*props)[topo.front()];
-    root.icols = {topo.front()->order[0], topo.front()->col};
-    root.dedup_upstream = false;
-  }
-  // Track whether a node received any parent contribution to `set`; the
-  // conjunction starts at true and parents AND their values in.
-  for (Op* op : topo) {
-    const NodeProps& p = (*props)[op];
-    auto contribute = [&](size_t i, const std::set<std::string>& cols,
-                          bool set_value) {
-      NodeProps& c = (*props)[op->children[i].get()];
-      c.icols.insert(cols.begin(), cols.end());
-      c.dedup_upstream = c.dedup_upstream && set_value;
-    };
-    switch (op->kind) {
-      case OpKind::kSerialize:
-        contribute(0, {op->order[0], op->col}, false);
-        break;
-      case OpKind::kProject: {
-        std::set<std::string> need;
-        for (const auto& [out, in] : op->proj) {
-          if (p.icols.count(out)) need.insert(in);
-        }
-        contribute(0, need, p.dedup_upstream);
-        break;
-      }
-      case OpKind::kSelect: {
-        std::set<std::string> need = p.icols;
-        for (const auto& c : op->pred.Cols()) need.insert(c);
-        contribute(0, need, p.dedup_upstream);
-        break;
-      }
-      case OpKind::kJoin:
-      case OpKind::kCross: {
-        std::set<std::string> need = p.icols;
-        if (op->kind == OpKind::kJoin) {
-          for (const auto& c : op->pred.Cols()) need.insert(c);
-        }
-        for (size_t i = 0; i < 2; ++i) {
-          std::set<std::string> mine;
-          for (const auto& c : need) {
-            if (op->children[i]->HasColumn(c)) mine.insert(c);
-          }
-          contribute(i, mine, p.dedup_upstream);
-        }
-        break;
-      }
-      case OpKind::kDistinct:
-        contribute(0, p.icols, true);
-        break;
-      case OpKind::kAttach:
-      case OpKind::kRowId: {
-        std::set<std::string> need = p.icols;
-        need.erase(op->col);
-        contribute(0, need, p.dedup_upstream);
-        break;
-      }
-      case OpKind::kRank: {
-        std::set<std::string> need = p.icols;
-        need.erase(op->col);
-        for (const auto& b : op->order) need.insert(b);
-        contribute(0, need, p.dedup_upstream);
-        break;
-      }
-      case OpKind::kDocTable:
-      case OpKind::kLiteral:
-        break;
-    }
   }
 }
 
 }  // namespace
 
+void Normalize(ColSet* cols) {
+  std::sort(cols->begin(), cols->end());
+  cols->erase(std::unique(cols->begin(), cols->end()), cols->end());
+}
+
+// ---------------- ColumnIds ------------------------------------------------
+
+ColumnIds::ColumnIds(const OpPtr& root) {
+  std::set<std::string> all;
+  for (const Op* op : algebra::BottomUpOrder(root)) {
+    all.insert(op->schema.begin(), op->schema.end());
+    for (const auto& [out, in] : op->proj) {
+      all.insert(out);
+      all.insert(in);
+    }
+    if (!op->col.empty()) all.insert(op->col);
+    all.insert(op->order.begin(), op->order.end());
+    const std::set<std::string> pred_cols = op->pred.Cols();
+    all.insert(pred_cols.begin(), pred_cols.end());
+  }
+  for (const auto& name : all) Intern(name);
+}
+
+ColId ColumnIds::Intern(const std::string& name) {
+  auto [it, added] = ids_.emplace(name, static_cast<ColId>(names_.size()));
+  if (added) names_.push_back(name);
+  return it->second;
+}
+
+ColId ColumnIds::Find(const std::string& name) const {
+  auto it = ids_.find(name);
+  return it == ids_.end() ? kNoCol : it->second;
+}
+
+// ---------------- NodeProps ------------------------------------------------
+
+bool NodeProps::Needs(ColId col) const { return Contains(icols, col); }
+
+const Value* NodeProps::ConstOf(ColId col) const {
+  return FindSorted(consts, col);
+}
+
+ColId NodeProps::EqClassOf(ColId col) const {
+  const ColId* cls = FindSorted(eq_class, col);
+  return cls ? *cls : kNoCol;
+}
+
+bool NodeProps::HasSingletonKey(ColId col) const {
+  for (const auto& key : keys) {
+    if (key.size() == 1 && key[0] == col) return true;
+  }
+  return false;
+}
+
+bool NodeProps::HasKeyWithinModuloEq(const ColSet& within) const {
+  for (const auto& key : keys) {
+    bool all = true;
+    for (ColId kcol : key) {
+      if (Contains(within, kcol)) continue;
+      const ColId cls = EqClassOf(kcol);
+      bool represented = false;
+      if (cls != kNoCol) {
+        for (ColId c : within) {
+          if (EqClassOf(c) == cls) {
+            represented = true;
+            break;
+          }
+        }
+      }
+      if (!represented) {
+        all = false;
+        break;
+      }
+    }
+    if (all) return true;
+  }
+  return false;
+}
+
+bool NodeProps::Needs(const std::string& col) const {
+  return Needs(names->Find(col));
+}
+
+const Value* NodeProps::ConstOf(const std::string& col) const {
+  return ConstOf(names->Find(col));
+}
+
+int NodeProps::EqClassOf(const std::string& col) const {
+  const ColId cls = EqClassOf(names->Find(col));
+  return cls == kNoCol ? -1 : static_cast<int>(cls);
+}
+
+bool NodeProps::HasSingletonKey(const std::string& col) const {
+  return HasSingletonKey(names->Find(col));
+}
+
+bool NodeProps::HasKeyWithin(const std::set<std::string>& within) const {
+  const ColSet ids = ToIds(names, within);
+  for (const auto& key : keys) {
+    if (std::includes(ids.begin(), ids.end(), key.begin(), key.end())) {
+      return true;
+    }
+  }
+  return false;
+}
+
+std::set<std::string> NodeProps::IcolNames() const {
+  std::set<std::string> out;
+  for (ColId col : icols) out.insert(names->Name(col));
+  return out;
+}
+
+std::vector<std::set<std::string>> NodeProps::KeyNames() const {
+  std::vector<std::set<std::string>> out;
+  for (const auto& key : keys) {
+    std::set<std::string>& names_of_key = out.emplace_back();
+    for (ColId col : key) names_of_key.insert(names->Name(col));
+  }
+  return out;
+}
+
+// ---------------- per-node inference ----------------------------------------
+
+void InferUp(const Op& op, const NodeProps* const* kids, ColumnIds* ids,
+             NodeProps* p) {
+  p->names = ids;
+  p->proj.clear();
+  for (const auto& [out, in] : op.proj) {
+    p->proj.emplace_back(ids->Intern(out), ids->Intern(in));
+  }
+  p->cols.clear();
+  switch (op.kind) {
+    case OpKind::kSerialize:
+    case OpKind::kSelect:
+    case OpKind::kDistinct:
+      p->cols = kids[0]->cols;
+      break;
+    case OpKind::kJoin:
+    case OpKind::kCross:
+      std::set_union(kids[0]->cols.begin(), kids[0]->cols.end(),
+                     kids[1]->cols.begin(), kids[1]->cols.end(),
+                     std::back_inserter(p->cols));
+      break;
+    case OpKind::kAttach:
+    case OpKind::kRowId:
+    case OpKind::kRank:
+      p->cols = kids[0]->cols;
+      InsertSorted(&p->cols, ids->Intern(op.col));
+      break;
+    default:
+      for (const auto& name : op.schema) p->cols.push_back(ids->Intern(name));
+      Normalize(&p->cols);
+      break;
+  }
+  p->consts.clear();
+  p->keys.clear();
+  p->eq_class.clear();
+  InferEqClasses(op, kids, ids, p);
+  switch (op.kind) {
+    case OpKind::kSerialize:
+    case OpKind::kDistinct:
+      p->consts = kids[0]->consts;
+      p->keys = kids[0]->keys;
+      if (op.kind == OpKind::kDistinct) AddKey(&p->keys, p->cols, &p->consts);
+      break;
+    case OpKind::kProject: {
+      const NodeProps& c = *kids[0];
+      for (const auto& [out, in] : p->proj) {
+        if (const Value* v = c.ConstOf(in)) p->consts.emplace_back(out, *v);
+      }
+      SortByCol(&p->consts);
+      for (const auto& key : c.keys) {
+        // Rename keys fully contained in the projection's sources. A
+        // source duplicated into several outputs yields one candidate
+        // key per output choice (the copies hold equal values).
+        std::vector<ColSet> renamed = {{}};
+        bool covered = true;
+        for (ColId kcol : key) {
+          std::vector<ColId> outs;
+          for (const auto& [out, in] : p->proj) {
+            if (in == kcol) outs.push_back(out);
+          }
+          if (outs.empty()) {
+            covered = false;
+            break;
+          }
+          std::vector<ColSet> expanded;
+          for (const auto& base : renamed) {
+            for (ColId out : outs) {
+              if (expanded.size() >= 8) break;
+              ColSet next = base;
+              InsertSorted(&next, out);
+              expanded.push_back(std::move(next));
+            }
+          }
+          renamed = std::move(expanded);
+        }
+        if (covered) {
+          for (auto& candidate : renamed) {
+            AddKey(&p->keys, std::move(candidate), &p->consts);
+          }
+        }
+      }
+      break;
+    }
+    case OpKind::kSelect:
+      p->consts = kids[0]->consts;
+      p->keys = kids[0]->keys;
+      break;
+    case OpKind::kJoin:
+    case OpKind::kCross: {
+      const NodeProps& l = *kids[0];
+      const NodeProps& r = *kids[1];
+      p->consts = MergeByCol(l.consts, r.consts);
+      const bool single_eq = IsSingleColEq(op);
+      ColId a = kNoCol, b = kNoCol;
+      bool equi_handled = false;
+      if (single_eq) {
+        a = ids->Intern(op.pred.conjuncts[0].lhs.col);
+        b = ids->Intern(op.pred.conjuncts[0].rhs.col);
+        const bool a_left = Contains(l.cols, a);
+        const ColId lcol = a_left ? a : b;
+        const ColId rcol = a_left ? b : a;
+        // Table IV, equi-join: if the right join column is a key of the
+        // right input, every left key survives (and vice versa).
+        if (r.HasSingletonKey(rcol)) {
+          for (const auto& k : l.keys) AddKey(&p->keys, k, &p->consts);
+          equi_handled = true;
+        }
+        if (l.HasSingletonKey(lcol)) {
+          for (const auto& k : r.keys) AddKey(&p->keys, k, &p->consts);
+          equi_handled = true;
+        }
+      }
+      if (!equi_handled) {
+        for (const auto& k1 : l.keys) {
+          for (const auto& k2 : r.keys) {
+            ColSet combined;
+            std::set_union(k1.begin(), k1.end(), k2.begin(), k2.end(),
+                           std::back_inserter(combined));
+            AddKey(&p->keys, std::move(combined), &p->consts);
+          }
+        }
+      }
+      // For an equi-join a = b, every output row satisfies a = b, so a
+      // and b are interchangeable inside candidate keys.
+      if (single_eq) {
+        const std::vector<ColSet> snapshot = p->keys;
+        for (const auto& k : snapshot) {
+          for (const auto& [from, to] : {std::pair{a, b}, std::pair{b, a}}) {
+            if (!Contains(k, from)) continue;
+            ColSet swapped = k;
+            swapped.erase(std::lower_bound(swapped.begin(), swapped.end(),
+                                           from));
+            InsertSorted(&swapped, to);
+            AddKey(&p->keys, std::move(swapped), &p->consts);
+          }
+        }
+      }
+      break;
+    }
+    case OpKind::kAttach: {
+      const ColId col = ids->Intern(op.col);
+      p->consts = kids[0]->consts;
+      auto it = std::lower_bound(
+          p->consts.begin(), p->consts.end(), col,
+          [](const auto& e, ColId c) { return e.first < c; });
+      if (it != p->consts.end() && it->first == col) {
+        it->second = op.val;
+      } else {
+        p->consts.emplace(it, col, op.val);
+      }
+      p->keys = kids[0]->keys;
+      break;
+    }
+    case OpKind::kRowId:
+      p->consts = kids[0]->consts;
+      p->keys = kids[0]->keys;
+      AddKey(&p->keys, {ids->Intern(op.col)}, &p->consts);
+      break;
+    case OpKind::kRank: {
+      const NodeProps& c = *kids[0];
+      p->consts = c.consts;
+      p->keys = c.keys;
+      ColSet order;
+      for (const auto& b : op.order) order.push_back(ids->Intern(b));
+      Normalize(&order);
+      // Table IV ϱ: rank col + (key minus order cols) is a key whenever
+      // the key overlapped the ordering criteria.
+      for (const auto& k : c.keys) {
+        bool overlaps = false;
+        for (ColId b : order) {
+          if (Contains(k, b)) overlaps = true;
+        }
+        if (!overlaps) continue;
+        ColSet nk;
+        std::set_difference(k.begin(), k.end(), order.begin(), order.end(),
+                            std::back_inserter(nk));
+        InsertSorted(&nk, ids->Intern(op.col));
+        AddKey(&p->keys, std::move(nk), &p->consts);
+      }
+      break;
+    }
+    case OpKind::kDocTable:
+      AddKey(&p->keys, {ids->Intern("pre")});
+      break;
+    case OpKind::kLiteral:
+      if (op.rows.size() == 1) {
+        for (size_t i = 0; i < op.schema.size(); ++i) {
+          p->consts.emplace_back(ids->Intern(op.schema[i]), op.rows[0][i]);
+        }
+        SortByCol(&p->consts);
+      }
+      if (op.rows.size() <= 1) {
+        for (const auto& col : op.schema) {
+          AddKey(&p->keys, {ids->Intern(col)}, &p->consts);
+        }
+      }
+      break;
+  }
+}
+
+// ---------------- top-down: icols and set (Tables II, V) ------------------
+
+void SeedRoot(const Op& root, ColumnIds* ids, ColSet* icols, bool* set) {
+  if (root.kind != OpKind::kSerialize) return;
+  icols->push_back(ids->Intern(root.order[0]));
+  icols->push_back(ids->Intern(root.col));
+  Normalize(icols);
+  *set = false;
+}
+
+void AddDemand(const Op& parent, const NodeProps& pp,
+               const ColSet& child_cols, ColumnIds* ids, ColSet* icols,
+               bool* set) {
+  auto add_pred_cols = [&](bool only_child_cols) {
+    ColSet pred_cols;
+    AddPredCols(parent.pred, ids, &pred_cols);
+    for (ColId col : pred_cols) {
+      if (!only_child_cols || Contains(child_cols, col)) icols->push_back(col);
+    }
+  };
+  auto add_icols_except = [&](const std::string& name) {
+    const ColId skip = ids->Intern(name);
+    for (ColId col : pp.icols) {
+      if (col != skip) icols->push_back(col);
+    }
+  };
+  bool value = pp.dedup_upstream;
+  switch (parent.kind) {
+    case OpKind::kSerialize:
+      icols->push_back(ids->Intern(parent.order[0]));
+      icols->push_back(ids->Intern(parent.col));
+      value = false;
+      break;
+    case OpKind::kProject:
+      for (const auto& [out, in] : pp.proj) {
+        if (pp.Needs(out)) icols->push_back(in);
+      }
+      break;
+    case OpKind::kSelect:
+      icols->insert(icols->end(), pp.icols.begin(), pp.icols.end());
+      add_pred_cols(false);
+      break;
+    case OpKind::kJoin:
+    case OpKind::kCross:
+      for (ColId col : pp.icols) {
+        if (Contains(child_cols, col)) icols->push_back(col);
+      }
+      if (parent.kind == OpKind::kJoin) add_pred_cols(true);
+      break;
+    case OpKind::kDistinct:
+      icols->insert(icols->end(), pp.icols.begin(), pp.icols.end());
+      value = true;
+      break;
+    case OpKind::kAttach:
+    case OpKind::kRowId:
+      add_icols_except(parent.col);
+      break;
+    case OpKind::kRank:
+      add_icols_except(parent.col);
+      for (const auto& b : parent.order) icols->push_back(ids->Intern(b));
+      break;
+    case OpKind::kDocTable:
+    case OpKind::kLiteral:
+      return;
+  }
+  *set = *set && value;
+}
+
+// ---------------- whole-DAG inference ---------------------------------------
+
 PropertyMap PropertyMap::Infer(const OpPtr& root) {
   PropertyMap map;
+  map.names_ = std::make_unique<ColumnIds>(root);
+  ColumnIds* ids = map.names_.get();
   std::vector<Op*> topo = algebra::TopoOrder(root);
-  std::vector<Op*> bottom_up(topo.rbegin(), topo.rend());
-  InferBottomUp(bottom_up, &map.props_);
-  InferTopDown(topo, &map.props_);
+  for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
+    Op* op = *it;
+    const NodeProps* kids[2] = {nullptr, nullptr};
+    for (size_t i = 0; i < op->children.size(); ++i) {
+      kids[i] = &map.props_[op->children[i].get()];
+    }
+    InferUp(*op, kids, ids, &map.props_[op]);
+  }
+  if (!topo.empty()) {
+    NodeProps& p = map.props_[topo.front()];
+    SeedRoot(*topo.front(), ids, &p.icols, &p.dedup_upstream);
+  }
+  // Parents come first in topological order, so every node has received
+  // all its parents' demands by the time it passes on its own.
+  for (Op* op : topo) {
+    NodeProps& p = map.props_[op];
+    Normalize(&p.icols);
+    for (size_t slot = 0; slot < op->children.size(); ++slot) {
+      NodeProps& c = map.props_[op->children[slot].get()];
+      AddDemand(*op, p, c.cols, ids, &c.icols, &c.dedup_upstream);
+    }
+  }
   return map;
 }
 

@@ -1,12 +1,10 @@
 #include "src/opt/rules.h"
 
 #include <algorithm>
-#include <cassert>
-#include <cstdio>
 #include <cstdlib>
+#include <set>
 
 #include "src/algebra/validate.h"
-#include "src/common/str.h"
 
 namespace xqjg::opt {
 
@@ -23,7 +21,6 @@ using algebra::Op;
 using algebra::OpKind;
 using algebra::OpPtr;
 using algebra::Predicate;
-using algebra::RecomputeSchema;
 using algebra::Term;
 
 namespace {
@@ -60,61 +57,49 @@ std::string JoinOrderKey(const Op* op) {
 
 }  // namespace
 
-Rewriter::Rewriter(OpPtr root) : root_(std::move(root)) {
+Rewriter::Rewriter(OpPtr root) : state_(std::move(root)) {
   const char* env = std::getenv("XQJG_VALIDATE_REWRITES");
   validate_rewrites_ = env && *env && std::string(env) != "0";
 }
 
 OpPtr Rewriter::Ptr(Op* node) const { return node->shared_from_this(); }
 
-void Rewriter::Replace(Op* old_node, OpPtr new_node) {
-  if (old_node == root_.get()) {
-    root_ = std::move(new_node);
-    return;
-  }
-  size_t n = algebra::ReplaceChild(root_, old_node, std::move(new_node));
-  assert(n > 0 && "Replace target not found in plan");
-  (void)n;
-}
-
 // ---------------------------------------------------------------------------
 // Rule (1): #a(q) -> q  when a not needed upstream.
 bool Rewriter::RuleRowIdDead(Op* node) {
   if (node->kind != OpKind::kRowId) return false;
-  if (props_.Get(node).icols.count(node->col)) return false;
-  Replace(node, node->children[0]);
+  if (state_.Props(node).Needs(node->col)) return false;
+  state_.Replace(node, node->children[0]);
   return true;
 }
 
 // Rule (2): rank_a(q) -> q  when a not needed upstream.
 bool Rewriter::RuleRankDead(Op* node) {
   if (node->kind != OpKind::kRank) return false;
-  if (props_.Get(node).icols.count(node->col)) return false;
-  Replace(node, node->children[0]);
+  if (state_.Props(node).Needs(node->col)) return false;
+  state_.Replace(node, node->children[0]);
   return true;
 }
 
 // Rule (3): @a:c(q) -> q  when a not needed upstream.
 bool Rewriter::RuleAttachDead(Op* node) {
   if (node->kind != OpKind::kAttach) return false;
-  if (props_.Get(node).icols.count(node->col)) return false;
-  Replace(node, node->children[0]);
+  if (state_.Props(node).Needs(node->col)) return false;
+  state_.Replace(node, node->children[0]);
   return true;
 }
 
 // Rule (4): narrow a projection to the columns needed upstream.
 bool Rewriter::RuleProjectNarrow(Op* node) {
   if (node->kind != OpKind::kProject) return false;
-  const auto& icols = props_.Get(node).icols;
+  const NodeProps& p = state_.Props(node);
   std::vector<std::pair<std::string, std::string>> kept;
   for (const auto& entry : node->proj) {
-    if (icols.count(entry.first)) kept.push_back(entry);
+    if (p.Needs(entry.first)) kept.push_back(entry);
   }
   if (kept.empty() || kept.size() == node->proj.size()) return false;
   node->proj = std::move(kept);
-  bool ok = RecomputeSchema(node);
-  assert(ok);
-  (void)ok;
+  state_.Touched(node);
   return true;
 }
 
@@ -128,7 +113,7 @@ bool Rewriter::RuleCrossLiteral(Op* node) {
     for (size_t i = 0; i < lit->schema.size(); ++i) {
       result = MakeAttach(result, lit->schema[i], lit->rows[0][i]);
     }
-    Replace(node, std::move(result));
+    state_.Replace(node, std::move(result));
     return true;
   }
   return false;
@@ -138,8 +123,8 @@ bool Rewriter::RuleCrossLiteral(Op* node) {
 // one upstream (set property true).
 bool Rewriter::RuleDistinctDead(Op* node) {
   if (node->kind != OpKind::kDistinct) return false;
-  if (!props_.Get(node).dedup_upstream) return false;
-  Replace(node, node->children[0]);
+  if (!state_.Props(node).dedup_upstream) return false;
+  state_.Replace(node, node->children[0]);
   return true;
 }
 
@@ -147,16 +132,15 @@ bool Rewriter::RuleDistinctDead(Op* node) {
 bool Rewriter::RuleDistinctPruneConst(Op* node) {
   if (node->kind != OpKind::kDistinct) return false;
   const Op* child = node->children[0].get();
-  const auto& child_consts = props_.Get(child).consts;
-  const auto& icols = props_.Get(node).icols;
+  const NodeProps& c = state_.Props(child);
+  const NodeProps& p = state_.Props(node);
   std::vector<std::pair<std::string, std::string>> kept;
   for (const auto& col : child->schema) {
-    if (child_consts.count(col) && !icols.count(col)) continue;
+    if (c.IsConst(col) && !p.Needs(col)) continue;
     kept.emplace_back(col, col);
   }
   if (kept.empty() || kept.size() == child->schema.size()) return false;
-  node->children[0] = MakeProject(node->children[0], std::move(kept));
-  RecomputeSchema(node);
+  state_.SetChild(node, 0, MakeProject(node->children[0], std::move(kept)));
   return true;
 }
 
@@ -164,14 +148,15 @@ bool Rewriter::RuleDistinctPruneConst(Op* node) {
 // output is keyed within icols and not yet deduplicated upstream.
 bool Rewriter::RuleIntroduceTailDistinct(Op* node) {
   if (node->kind != OpKind::kJoin) return false;
-  const NodeProps& p = props_.Get(node);
+  const NodeProps& p = state_.Props(node);
   if (p.dedup_upstream) return false;
   if (p.icols.empty()) return false;
   if (!p.HasKeyWithinModuloEq(p.icols)) return false;
   // Build delta(pi_icols(node)) and splice it between node and its parents.
-  std::vector<std::string> cols(p.icols.begin(), p.icols.end());
+  const std::set<std::string> names = p.IcolNames();
+  std::vector<std::string> cols(names.begin(), names.end());
   OpPtr narrowed = MakeProject(Ptr(node), Identity(cols));
-  Replace(node, MakeDistinct(std::move(narrowed)));
+  state_.Replace(node, MakeDistinct(std::move(narrowed)));
   return true;
 }
 
@@ -207,11 +192,11 @@ bool Rewriter::RuleMergeSelfJoin(Op* node) {
   const std::string* lsrc = source_of(left, lcol);
   const std::string* rsrc = source_of(right, rcol);
   if (!lsrc || !rsrc || *lsrc != *rsrc) return false;
-  if (!props_.Get(base).HasSingletonKey(*lsrc)) return false;
+  if (!state_.Props(base).HasSingletonKey(*lsrc)) return false;
   // Join on a key column of the shared input: every row pairs with itself.
   std::vector<std::pair<std::string, std::string>> merged = left->proj;
   merged.insert(merged.end(), right->proj.begin(), right->proj.end());
-  Replace(node, MakeProject(left->children[0], std::move(merged)));
+  state_.Replace(node, MakeProject(left->children[0], std::move(merged)));
   return true;
 }
 
@@ -222,14 +207,13 @@ bool Rewriter::RuleConstJoinToCross(Op* node) {
   if (node->pred.conjuncts.size() != 1 || !node->pred.conjuncts[0].IsColEq()) {
     return false;
   }
-  const NodeProps& p = props_.Get(node);
+  const NodeProps& p = state_.Props(node);
   const std::string& a = node->pred.conjuncts[0].lhs.col;
   const std::string& b = node->pred.conjuncts[0].rhs.col;
-  auto ita = p.consts.find(a);
-  auto itb = p.consts.find(b);
-  if (ita == p.consts.end() || itb == p.consts.end()) return false;
-  if (!(ita->second == itb->second)) return false;
-  Replace(node, MakeCross(node->children[0], node->children[1]));
+  const Value* va = p.ConstOf(a);
+  const Value* vb = p.ConstOf(b);
+  if (!va || !vb || !(*va == *vb)) return false;
+  state_.Replace(node, MakeCross(node->children[0], node->children[1]));
   return true;
 }
 
@@ -257,8 +241,6 @@ bool Rewriter::RulePushJoinDown(Op* node) {
       default:
         continue;  // delta, rowid, leaves, serialize: not pushable
     }
-    // q2 must not reach the box (would create a cycle).
-    if (algebra::Reaches(other.get(), box)) continue;
     // Anti-ping-pong: between two single-equality joins, only the one with
     // the smaller canonical predicate key may descend below the other.
     if (IsSingleEqJoin(box) && !(JoinOrderKey(node) < JoinOrderKey(box))) {
@@ -301,24 +283,22 @@ bool Rewriter::RulePushJoinDown(Op* node) {
 
     // Rule (9a): the push would create inner join_{c=c} inner over the
     // same node on a key column -> the join is the identity; drop it.
-    OpPtr pushed;
-    if (inner.get() == other.get() && mapped == ocol &&
-        props_.Get(inner.get()).HasSingletonKey(mapped)) {
-      pushed = inner;
-    } else {
-      if (!SchemasDisjoint(*inner, *other)) continue;
-      pushed = MakeJoin(inner, other,
-                        Predicate::Single(Term::Col(mapped), CmpOp::kEq,
-                                          Term::Col(ocol)));
-    }
+    const bool degenerate =
+        inner.get() == other.get() && mapped == ocol &&
+        state_.Props(inner.get()).HasSingletonKey(mapped);
+    if (!degenerate && !SchemasDisjoint(*inner, *other)) continue;
+    // q2 must not reach the box (would create a cycle). Checked last of
+    // the cheap conditions: it walks q2's subplan.
+    if (state_.Reaches(other.get(), box)) continue;
 
-    // Rebuild the box above the pushed join. The rebuilt box must also
-    // expose `other`'s columns (they flowed out of the original join).
-    OpPtr rebuilt;
+    // The box is rebuilt above the pushed join and must also expose
+    // `other`'s columns (they flowed out of the original join). Check that
+    // it can be before building anything: a refused push allocates no
+    // operators.
+    std::vector<std::pair<std::string, std::string>> proj;
     switch (box->kind) {
       case OpKind::kProject: {
-        const bool degenerate = pushed.get() == inner.get();
-        auto proj = box->proj;
+        proj = box->proj;
         bool clash = false;
         for (const auto& col : other->schema) {
           const std::string* existing_src = nullptr;
@@ -336,38 +316,54 @@ bool Rewriter::RulePushJoinDown(Op* node) {
           proj.emplace_back(col, col);
         }
         if (clash) continue;
-        rebuilt = MakeProject(pushed, std::move(proj));
         break;
       }
+      case OpKind::kAttach:
+      case OpKind::kRank:
+        if (other->HasColumn(box->col)) continue;
+        break;
+      case OpKind::kJoin:
+      case OpKind::kCross: {
+        if (degenerate) {
+          // Join dropped: box is unchanged semantically; but `other`'s
+          // columns must still be provided — they are, because other ==
+          // inner is below box already. Just replace node with box.
+          state_.Replace(node, Ptr(box));
+          return true;
+        }
+        // The pushed join outputs inner's and other's columns.
+        const Op& sibling = *box->children[1 - slot];
+        if (!SchemasDisjoint(sibling, *inner) ||
+            !SchemasDisjoint(sibling, *other)) {
+          continue;
+        }
+        break;
+      }
+      default:
+        break;
+    }
+
+    const OpPtr pushed =
+        degenerate ? inner
+                   : MakeJoin(inner, other,
+                              Predicate::Single(Term::Col(mapped), CmpOp::kEq,
+                                                Term::Col(ocol)));
+    OpPtr rebuilt;
+    switch (box->kind) {
+      case OpKind::kProject:
+        rebuilt = MakeProject(pushed, std::move(proj));
+        break;
       case OpKind::kSelect:
         rebuilt = MakeSelect(pushed, box->pred);
         break;
       case OpKind::kAttach:
-        if (other->HasColumn(box->col)) continue;
         rebuilt = MakeAttach(pushed, box->col, box->val);
         break;
       case OpKind::kRank:
-        if (other->HasColumn(box->col)) continue;
         rebuilt = MakeRank(pushed, box->col, box->order);
         break;
-      case OpKind::kJoin:
-      case OpKind::kCross: {
+      default: {
         const OpPtr& sibling = box->children[1 - slot];
-        if (!SchemasDisjoint(*pushed, *sibling) &&
-            pushed.get() != inner.get()) {
-          continue;
-        }
-        if (pushed.get() != inner.get() &&
-            !SchemasDisjoint(*sibling, *other)) {
-          continue;
-        }
-        if (pushed.get() == inner.get()) {
-          // Join dropped: box is unchanged semantically; but `other`'s
-          // columns must still be provided — they are, because other ==
-          // inner is below box already. Just replace node with box.
-          Replace(node, Ptr(box));
-          return true;
-        }
         if (box->kind == OpKind::kJoin) {
           rebuilt = slot == 0 ? MakeJoin(pushed, sibling, box->pred)
                               : MakeJoin(sibling, pushed, box->pred);
@@ -377,10 +373,8 @@ bool Rewriter::RulePushJoinDown(Op* node) {
         }
         break;
       }
-      default:
-        continue;
     }
-    Replace(node, std::move(rebuilt));
+    state_.Replace(node, std::move(rebuilt));
     return true;
   }
   return false;
@@ -394,25 +388,27 @@ bool Rewriter::RuleRankSingleCol(Op* node) {
   const OpPtr& child = node->children[0];
   auto proj = Identity(child->schema);
   proj.emplace_back(node->col, node->order[0]);
-  Replace(node, MakeProject(child, std::move(proj)));
+  state_.Replace(node, MakeProject(child, std::move(proj)));
   return true;
 }
 
 // Rule (13): constant columns cannot influence a rank order.
 bool Rewriter::RuleRankDropConstOrder(Op* node) {
   if (node->kind != OpKind::kRank) return false;
-  const auto& consts = props_.Get(node->children[0].get()).consts;
+  const NodeProps& c = state_.Props(node->children[0].get());
   std::vector<std::string> kept;
   for (const auto& b : node->order) {
-    if (!consts.count(b)) kept.push_back(b);
+    if (!c.IsConst(b)) kept.push_back(b);
   }
   if (kept.size() == node->order.size()) return false;
   if (kept.empty()) {
     // Rank over nothing: every row ranks 1.
-    Replace(node, MakeAttach(node->children[0], node->col, Value::Int(1)));
+    state_.Replace(node,
+                   MakeAttach(node->children[0], node->col, Value::Int(1)));
     return true;
   }
   node->order = std::move(kept);
+  state_.Touched(node);
   return true;
 }
 
@@ -429,7 +425,7 @@ bool Rewriter::RulePullRankUnary(Op* node) {
   }
   const OpPtr& rank = node->children[0];
   if (rank->kind != OpKind::kRank) return false;
-  if (parents_.NumParents(rank.get()) != 1) return false;
+  if (state_.NumParents(rank.get()) != 1) return false;
   if (node->kind == OpKind::kSelect &&
       node->pred.Cols().count(rank->col)) {
     return false;
@@ -453,7 +449,7 @@ bool Rewriter::RulePullRankUnary(Op* node) {
       inner = algebra::MakeRowId(rank->children[0], node->col);
       break;
   }
-  Replace(node, MakeRank(std::move(inner), rank->col, rank->order));
+  state_.Replace(node, MakeRank(std::move(inner), rank->col, rank->order));
   return true;
 }
 
@@ -466,7 +462,7 @@ bool Rewriter::RulePullRankJoin(Op* node) {
   for (int side = 0; side < 2; ++side) {
     const OpPtr& rank = node->children[side];
     if (rank->kind != OpKind::kRank) continue;
-    if (parents_.NumParents(rank.get()) != 1) continue;
+    if (state_.NumParents(rank.get()) != 1) continue;
     if (node->kind == OpKind::kJoin && node->pred.Cols().count(rank->col)) {
       continue;
     }
@@ -480,7 +476,7 @@ bool Rewriter::RulePullRankJoin(Op* node) {
       joined = side == 0 ? MakeCross(rank->children[0], other)
                          : MakeCross(other, rank->children[0]);
     }
-    Replace(node, MakeRank(std::move(joined), rank->col, rank->order));
+    state_.Replace(node, MakeRank(std::move(joined), rank->col, rank->order));
     return true;
   }
   return false;
@@ -492,7 +488,7 @@ bool Rewriter::RulePullRankProject(Op* node) {
   if (node->kind != OpKind::kProject) return false;
   const OpPtr& rank = node->children[0];
   if (rank->kind != OpKind::kRank) return false;
-  if (parents_.NumParents(rank.get()) != 1) return false;
+  if (state_.NumParents(rank.get()) != 1) return false;
   // The rank column must be forwarded by exactly one entry.
   std::string out_name;
   int refs = 0;
@@ -530,7 +526,8 @@ bool Rewriter::RulePullRankProject(Op* node) {
     }
   }
   OpPtr new_proj = MakeProject(rank->children[0], std::move(below));
-  Replace(node, MakeRank(std::move(new_proj), out_name, std::move(new_order)));
+  state_.Replace(node, MakeRank(std::move(new_proj), out_name,
+                                std::move(new_order)));
   return true;
 }
 
@@ -553,6 +550,7 @@ bool Rewriter::RuleRankSplice(Op* node) {
     }
   }
   node->order = std::move(dedup);
+  state_.Touched(node);
   return true;
 }
 
@@ -563,12 +561,12 @@ bool Rewriter::RuleRankSplice(Op* node) {
 // and fs:ddo guarantees item-uniqueness).
 bool Rewriter::RuleRowIdFromKey(Op* node) {
   if (node->kind != OpKind::kRowId) return false;
-  const NodeProps& c = props_.Get(node->children[0].get());
+  const NodeProps& c = state_.Props(node->children[0].get());
   for (const auto& k : c.keys) {
     if (k.size() != 1) continue;
     auto proj = Identity(node->children[0]->schema);
-    proj.emplace_back(node->col, *k.begin());
-    Replace(node, MakeProject(node->children[0], std::move(proj)));
+    proj.emplace_back(node->col, c.names->Name(k[0]));
+    state_.Replace(node, MakeProject(node->children[0], std::move(proj)));
     return true;
   }
   return false;
@@ -591,7 +589,7 @@ bool Rewriter::RuleProjectProject(Op* node) {
     if (!src) return false;  // cannot happen on well-formed plans
     composed.emplace_back(out, *src);
   }
-  Replace(node, MakeProject(inner->children[0], std::move(composed)));
+  state_.Replace(node, MakeProject(inner->children[0], std::move(composed)));
   return true;
 }
 
@@ -603,15 +601,13 @@ bool Rewriter::RuleProjectIdentity(Op* node) {
   for (const auto& [out, in] : node->proj) {
     if (out != in) return false;
   }
-  Replace(node, child);
+  state_.Replace(node, child);
   return true;
 }
 
 // ---------------------------------------------------------------------------
 
 bool Rewriter::StepOnce(Phase phase) {
-  props_ = PropertyMap::Infer(root_);
-  parents_ = algebra::BuildParentMap(root_);
   using RuleFn = bool (Rewriter::*)(Op*);
   struct Entry {
     const char* name;
@@ -654,42 +650,50 @@ bool Rewriter::StepOnce(Phase phase) {
   const size_t n_rules = phase == Phase::kRank
                              ? sizeof(kRankRules) / sizeof(Entry)
                              : sizeof(kJoinRules) / sizeof(Entry);
-  static const bool trace = std::getenv("XQJG_REWRITE_TRACE") != nullptr;
-  for (Op* op : algebra::TopoOrder(root_)) {
+  // The first operator in topological order on which some rule fires, as
+  // a restart from the root would find it; operators that matched nothing
+  // since their inputs last changed are skipped (see rewrite_state.h).
+  const char* fired = nullptr;
+  bool stale = false;
+  const size_t lane = phase == Phase::kRank ? 0 : 1;
+  state_.Walk(lane, validate_rewrites_, &stale, [&](Op* op) {
     for (size_t i = 0; i < n_rules; ++i) {
-      const int id = op->id;
-      const std::string desc = trace ? op->Describe() : std::string();
       if ((this->*rules[i].fn)(op)) {
-        ++counts_[rules[i].name];
-        if (trace) {
-          std::fprintf(stderr, "%s @ [%d] %s\n", rules[i].name, id,
-                       desc.c_str());
-        }
-        // In-place narrowing (e.g. rule 4) changes schemas of pass-through
-        // ancestors (δ, σ, joins); refresh bottom-up so the next property
-        // inference sees consistent schemas.
-        for (Op* n : algebra::BottomUpOrder(root_)) {
-          bool ok = algebra::RecomputeSchema(n);
-          assert(ok && "rewrite left the plan schema-inconsistent");
-          (void)ok;
-        }
-        if (validate_rewrites_) {
-          // Mid-rewrite plans are fragments of a larger pipeline: the
-          // serialize root is there, but parameter declarations are out
-          // of scope, so the slot upper bound is not checked here.
-          algebra::ValidateOptions vopts;
-          vopts.num_params = algebra::kParamsUnknown;
-          validation_status_ = algebra::Validate(
-              root_, std::string("rewrite:") + rules[i].name, vopts);
-          // Stop the phase on the first broken plan; RunPhase surfaces
-          // the diagnostic (which names the rule that broke it).
-          if (!validation_status_.ok()) return false;
-        }
+        fired = rules[i].name;
         return true;
       }
     }
+    return false;
+  });
+  if (!fired) return false;
+  ++counts_[fired];
+  state_.Settle();
+  if (validate_rewrites_) {
+    const std::string stage = std::string("rewrite:") + fired;
+    if (stale) {
+      algebra::ValidationError err;
+      err.stage = stage;
+      err.invariant = "incremental";
+      err.detail =
+          "the rule fired on an operator marked as matching no rule, so "
+          "the skipping walk would have fired a different one";
+      validation_status_ = err.ToStatus();
+      return false;
+    }
+    // Mid-rewrite plans are fragments of a larger pipeline: the
+    // serialize root is there, but parameter declarations are out of
+    // scope, so the slot upper bound is not checked here.
+    algebra::ValidateOptions vopts;
+    vopts.num_params = algebra::kParamsUnknown;
+    validation_status_ = algebra::Validate(state_.root(), stage, vopts);
+    if (validation_status_.ok()) {
+      validation_status_ = state_.CheckAgainstScratch(stage);
+    }
+    // Stop the phase on the first broken plan; RunPhase surfaces the
+    // diagnostic (which names the rule that broke it).
+    if (!validation_status_.ok()) return false;
   }
-  return false;
+  return true;
 }
 
 Status Rewriter::RunPhase(Phase phase) {

@@ -29,7 +29,7 @@
 #include "src/algebra/dag.h"
 #include "src/algebra/operators.h"
 #include "src/common/status.h"
-#include "src/opt/properties.h"
+#include "src/opt/rewrite_state.h"
 
 namespace xqjg::opt {
 
@@ -39,10 +39,14 @@ class Rewriter {
  public:
   /// Reads XQJG_VALIDATE_REWRITES from the environment at construction
   /// (not via a function-local static, so tests may toggle it): when set,
-  /// the structural plan validator (src/algebra/validate.h) runs after
-  /// EVERY individual rewrite application, and the first broken plan
-  /// fails the phase with a diagnostic naming the exact rule
-  /// ("rewrite:r11-push-join").
+  /// after EVERY individual rewrite application the structural plan
+  /// validator (src/algebra/validate.h) runs and the incrementally kept
+  /// schemas, parent links and properties are compared with a
+  /// from-scratch derivation (RewriteState::CheckAgainstScratch); and
+  /// every walk also tries the operators remembered as matching no rule,
+  /// so a firing the skipping walk would have missed is caught. The
+  /// first failure stops the phase with a diagnostic naming the exact
+  /// rule ("rewrite:r11-push-join").
   explicit Rewriter(algebra::OpPtr root);
 
   /// Runs both phases to fixpoint. Errors only on internal invariant
@@ -55,7 +59,7 @@ class Rewriter {
   /// Phase δ+⋈: single tail duplicate elimination, join push-down/removal.
   Status RunJoinPhase();
 
-  const algebra::OpPtr& root() const { return root_; }
+  const algebra::OpPtr& root() const { return state_.root(); }
 
   /// Rule name -> number of applications (diagnostics / the fig04_07
   /// bench).
@@ -64,7 +68,8 @@ class Rewriter {
  private:
   enum class Phase { kRank, kJoin };
   Status RunPhase(Phase phase);
-  /// Attempts one rewrite anywhere in the plan; returns true if applied.
+  /// Applies the first rule that fires on the first operator, in
+  /// topological order, where one does; returns true if applied.
   bool StepOnce(Phase phase);
 
   // Individual rules; each returns true if it rewrote the plan. `node` is
@@ -90,12 +95,12 @@ class Rewriter {
   bool RuleProjectIdentity(algebra::Op* node);                // (hk-πid)
   bool RuleRowIdFromKey(algebra::Op* node);                   // (#key)
 
-  void Replace(algebra::Op* old_node, algebra::OpPtr new_node);
   algebra::OpPtr Ptr(algebra::Op* node) const;
 
-  algebra::OpPtr root_;
-  PropertyMap props_;
-  algebra::ParentMap parents_;
+  /// The plan with its schemas, parent links and properties, kept current
+  /// after every firing. Rules edit the plan only through its Replace,
+  /// SetChild and Touched.
+  RewriteState state_;
   std::map<std::string, int> counts_;
   int budget_ = 50000;
   /// XQJG_VALIDATE_REWRITES: validate after every rewrite application.

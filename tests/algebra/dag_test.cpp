@@ -1,8 +1,5 @@
-// DAG utilities: traversal orders, parent maps, and — critically —
-// ReplaceChild lifetime safety. ReplaceChild walks a raw-pointer topo
-// order while overwriting child slots; it must keep the detached subtree
-// alive until the walk completes (regression: heap-use-after-free under
-// ASan when the replaced node owned the only reference to a deep chain).
+// DAG utilities: traversal orders, parent maps and cloning. Node
+// replacement lives in opt::RewriteState (tests/opt/rewrite_state_test.cpp).
 #include <gtest/gtest.h>
 
 #include "src/algebra/dag.h"
@@ -13,42 +10,6 @@ namespace {
 
 OpPtr Lit(const std::string& col) {
   return MakeLiteral({col}, {{Value::Int(1)}});
-}
-
-TEST(Dag, ReplaceChildKeepsDetachedSubtreeAliveDuringWalk) {
-  // root -> distinct -> rowid -> rank -> literal: the distinct's child is
-  // replaced, orphaning a three-deep chain whose nodes sit after the
-  // replacement point in topo order. Under ASan the pre-fix code read the
-  // freed chain while finishing the walk.
-  OpPtr chain = MakeRank(Lit("n"), "r", {"n"});
-  chain = MakeRowId(chain, "id");
-  const Op* victim = chain.get();
-  OpPtr root = MakeDistinct(chain);
-  chain.reset();  // root now owns the only reference to the chain
-
-  OpPtr replacement = Lit("n");
-  size_t n = ReplaceChild(root, victim, replacement);
-  EXPECT_EQ(n, 1u);
-  ASSERT_EQ(root->children.size(), 1u);
-  EXPECT_EQ(root->children[0].get(), replacement.get());
-  EXPECT_EQ(CountOps(root), 2u);
-}
-
-TEST(Dag, ReplaceChildRewritesEverySharedLink) {
-  // Diamond: both cross inputs project the same shared node; replacing it
-  // must rewrite both links (and survive dropping the shared node's last
-  // external reference).
-  OpPtr shared = MakeRowId(Lit("n"), "id");
-  const Op* victim = shared.get();
-  OpPtr root = MakeCross(MakeProject(shared, {{"a", "n"}}),
-                         MakeProject(shared, {{"b", "n"}}));
-  shared.reset();
-
-  OpPtr replacement = MakeRowId(Lit("n"), "id");
-  size_t n = ReplaceChild(root, victim, replacement);
-  EXPECT_EQ(n, 2u);
-  EXPECT_EQ(root->children[0]->children[0].get(), replacement.get());
-  EXPECT_EQ(root->children[1]->children[0].get(), replacement.get());
 }
 
 TEST(Dag, TopoOrderVisitsParentsBeforeChildren) {

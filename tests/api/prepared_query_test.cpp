@@ -3,11 +3,13 @@
 // semantics, and stale artifacts are rejected after catalog changes.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <memory>
 #include <set>
 
 #include "src/api/paper_queries.h"
 #include "src/api/processor.h"
+#include "src/data/dblp.h"
 #include "src/data/xmark.h"
 #include "tests/testutil/fixtures.h"
 
@@ -48,6 +50,41 @@ TEST_F(PreparedQueryTest, PrepareCapturesCompiledArtifacts) {
   EXPECT_GT(pq.diagnostics.ops_stacked, pq.diagnostics.ops_isolated);
   EXPECT_GE(pq.compile_seconds, 0.0);
   EXPECT_EQ(pq.catalog_generation, processor_.catalog_generation());
+}
+
+TEST(PreparedQueryStages, StageSecondsCoverThePrepareStages) {
+  XQueryProcessor processor;
+  data::DblpOptions dblp;
+  dblp.publications = 200;
+  ASSERT_TRUE(
+      processor.LoadDocument("dblp.xml", data::GenerateDblp(dblp)).ok());
+  ASSERT_TRUE(processor.CreateRelationalIndexes().ok());
+  const PaperQuery* q5 = nullptr;
+  for (const auto& q : PaperQueries()) {
+    if (q.id == "Q5") q5 = &q;
+  }
+  ASSERT_NE(q5, nullptr);
+  PrepareOptions options;
+  options.mode = Mode::kJoinGraph;
+  options.context_document = q5->document;
+  const auto started = std::chrono::steady_clock::now();
+  auto prepared = processor.Prepare(q5->text, options);
+  const double wall = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - started)
+                          .count();
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+  const PreparedQuery& pq = *prepared.value();
+  ASSERT_TRUE(pq.has_plan);
+  const CompileDiagnostics::StageSeconds& s = pq.diagnostics.stage_seconds;
+  for (double seconds :
+       {s.parse, s.normalize, s.compile, s.isolate, s.extract, s.plan}) {
+    EXPECT_GE(seconds, 0.0);
+  }
+  EXPECT_GT(s.isolate, 0.0);
+  const double sum =
+      s.parse + s.normalize + s.compile + s.isolate + s.extract + s.plan;
+  EXPECT_LE(sum, pq.compile_seconds);
+  EXPECT_LE(sum, wall);
 }
 
 TEST_F(PreparedQueryTest, RunMatchesPrepareExecuteInEveryMode) {

@@ -28,10 +28,11 @@ TEST(Properties, IcolsSeededAtSerializeAndNarrowedByProject) {
                                  {"extra", "size"}});
   OpPtr root = MakeSerialize(proj, "pos", "item");
   PropertyMap props = PropertyMap::Infer(root);
-  EXPECT_EQ(props.Get(proj.get()).icols,
+  EXPECT_EQ(props.Get(proj.get()).IcolNames(),
             (std::set<std::string>{"pos", "item"}));
   // The doc leaf only needs the projection's used source.
-  EXPECT_EQ(props.Get(doc.get()).icols, (std::set<std::string>{"pre"}));
+  EXPECT_EQ(props.Get(doc.get()).IcolNames(),
+            (std::set<std::string>{"pre"}));
 }
 
 TEST(Properties, IcolsIncludePredicateColumns) {
@@ -41,8 +42,8 @@ TEST(Properties, IcolsIncludePredicateColumns) {
   OpPtr proj = MakeProject(sel, {{"pos", "pre"}, {"item", "pre"}});
   OpPtr root = MakeSerialize(proj, "pos", "item");
   PropertyMap props = PropertyMap::Infer(root);
-  EXPECT_TRUE(props.Get(doc.get()).icols.count("kind"));
-  EXPECT_TRUE(props.Get(doc.get()).icols.count("pre"));
+  EXPECT_TRUE(props.Get(doc.get()).Needs("kind"));
+  EXPECT_TRUE(props.Get(doc.get()).Needs("pre"));
 }
 
 TEST(Properties, ConstsFlowFromLiteralsAndAttach) {
@@ -52,10 +53,10 @@ TEST(Properties, ConstsFlowFromLiteralsAndAttach) {
   OpPtr root = MakeSerialize(proj, "p2", "i2");
   PropertyMap props = PropertyMap::Infer(root);
   const NodeProps& p = props.Get(proj.get());
-  ASSERT_TRUE(p.consts.count("i2"));
-  EXPECT_EQ(p.consts.at("i2").AsInt(), 1);
-  ASSERT_TRUE(p.consts.count("p2"));
-  EXPECT_EQ(p.consts.at("p2").AsInt(), 9);
+  ASSERT_TRUE(p.IsConst("i2"));
+  EXPECT_EQ(p.ConstOf("i2")->AsInt(), 1);
+  ASSERT_TRUE(p.IsConst("p2"));
+  EXPECT_EQ(p.ConstOf("p2")->AsInt(), 9);
 }
 
 TEST(Properties, KeysDocRowIdDistinctRank) {
@@ -127,9 +128,9 @@ TEST(Properties, EqClassesTrackCopiesAndJoinEqualities) {
       MakeProject(proj, {{"pos", "a"}, {"item", "b"}}), "pos", "item");
   PropertyMap props = PropertyMap::Infer(root);
   const NodeProps& p = props.Get(proj.get());
-  ASSERT_TRUE(p.eq_class.count("a"));
-  EXPECT_EQ(p.eq_class.at("a"), p.eq_class.at("b"));
-  EXPECT_NE(p.eq_class.at("a"), p.eq_class.at("c"));
+  ASSERT_GE(p.EqClassOf("a"), 0);
+  EXPECT_EQ(p.EqClassOf("a"), p.EqClassOf("b"));
+  EXPECT_NE(p.EqClassOf("a"), p.EqClassOf("c"));
 }
 
 TEST(Properties, EqClassesDoNotAliasAcrossReferences) {
@@ -144,7 +145,8 @@ TEST(Properties, EqClassesDoNotAliasAcrossReferences) {
                              "pos", "item");
   PropertyMap props = PropertyMap::Infer(root);
   const NodeProps& p = props.Get(join.get());
-  EXPECT_NE(p.eq_class.at("x"), p.eq_class.at("y"));
+  ASSERT_GE(p.EqClassOf("x"), 0);
+  EXPECT_NE(p.EqClassOf("x"), p.EqClassOf("y"));
 }
 
 }  // namespace

@@ -3,8 +3,12 @@
 // and plan shape) plus result preservation on a tiny document.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <optional>
+
 #include "src/algebra/dag.h"
 #include "src/algebra/printer.h"
+#include "src/api/paper_queries.h"
 #include "src/compiler/compile.h"
 #include "src/engine/columnar/columnar_exec.h"
 #include "src/opt/rules.h"
@@ -12,6 +16,7 @@
 #include "src/xquery/normalize.h"
 #include "src/xquery/parser.h"
 #include "tests/testutil/fixtures.h"
+#include "tests/testutil/generated_queries.h"
 
 namespace xqjg::opt {
 namespace {
@@ -150,6 +155,49 @@ TEST(Rules, TerminatesOnDeeplyNestedQueries) {
   Rewriter rw(algebra::ClonePlan(plan.value()));
   EXPECT_TRUE(rw.Run().ok());
   EXPECT_EQ(rw.rule_counts().count("budget-exhausted"), 0u);
+}
+
+/// Sets an environment variable for the scope, then restores it.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (const char* old = std::getenv(name)) old_ = old;
+    ::setenv(name, value, 1);
+  }
+  ~ScopedEnv() {
+    if (old_) {
+      ::setenv(name_, old_->c_str(), 1);
+    } else {
+      ::unsetenv(name_);
+    }
+  }
+
+ private:
+  const char* name_;
+  std::optional<std::string> old_;
+};
+
+TEST(Rules, IncrementalPropertiesMatchFromScratch) {
+  // Under XQJG_VALIDATE_REWRITES every firing compares the incrementally
+  // kept schemas, parent links and properties with a from-scratch
+  // derivation, and a mismatch fails the phase as "rewrite:<rule>".
+  ScopedEnv validate("XQJG_VALIDATE_REWRITES", "1");
+  std::vector<std::pair<std::string, std::string>> queries;
+  for (const auto& q : api::PaperQueries()) {
+    queries.emplace_back(q.text, q.document);
+  }
+  for (const char* q : testutil::GeneratedQueries()) {
+    queries.emplace_back(q, "auction.xml");
+  }
+  for (const auto& [text, document] : queries) {
+    SCOPED_TRACE(text);
+    auto plan = testutil::CompileToPlan(text, document);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    Rewriter rw(algebra::ClonePlan(plan.value()));
+    const Status st = rw.Run();
+    EXPECT_TRUE(st.ok()) << st.ToString();
+    EXPECT_FALSE(rw.rule_counts().empty());
+  }
 }
 
 }  // namespace

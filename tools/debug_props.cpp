@@ -20,8 +20,8 @@ int main(int argc, char** argv) {
   for (auto* op : algebra::TopoOrder(rw.root())) {
     const auto& p = props.Get(op);
     std::string icols, keys;
-    for (auto& c : p.icols) icols += c + ",";
-    for (auto& k : p.keys) { keys += "{"; for (auto& c : k) keys += c + ","; keys += "}"; }
+    for (auto& c : p.IcolNames()) icols += c + ",";
+    for (auto& k : p.KeyNames()) { keys += "{"; for (auto& c : k) keys += c + ","; keys += "}"; }
     printf("[%d] %s | icols=%s set=%d keys=%s\n", op->id, op->Describe().c_str(),
            icols.c_str(), (int)p.dedup_upstream, keys.c_str());
   }
