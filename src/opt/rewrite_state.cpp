@@ -221,7 +221,6 @@ void RewriteState::Release(Node* n) {
 
 void RewriteState::Replace(Op* old_op, OpPtr new_op) {
   Node* old = &At(old_op);
-  const OpPtr keep = old->op;
   // Copy the links first: the replacement may itself consume `old_op`
   // (rule 8 wraps it), and that new link must stay.
   const std::vector<std::pair<Node*, size_t>> links = old->parents;
@@ -238,7 +237,6 @@ void RewriteState::Replace(Op* old_op, OpPtr new_op) {
 void RewriteState::SetChild(Op* op, size_t slot, OpPtr child) {
   Node* n = &At(op);
   Node* old = n->kids[slot];
-  const OpPtr keep = old->op;
   Relink(n, slot, Adopt(child));
   Release(old);
 }
