@@ -64,8 +64,8 @@ double PredSelectivity(const QualComparison& p, const Database& db) {
     }
     return 1.0 / ndv;
   }
-  // Structural range conjunct (half of a containment pair): average
-  // subtree fraction.
+  // Structural range conjunct outside a containment pair (see
+  // ClassifyStep): average subtree fraction.
   const double n = std::max<double>(1, static_cast<double>(db.row_count()));
   const ColumnStats& size_stats = db.Stats(db.ColumnIndex("size"));
   double avg_size = 4.0;
@@ -76,6 +76,54 @@ double PredSelectivity(const QualComparison& p, const Database& db) {
     avg_size = std::max(1.0, median.IsNumeric() ? median.AsDouble() : 4.0);
   }
   return std::min(0.5, std::sqrt(avg_size) / std::sqrt(n));
+}
+
+/// A join conjunct's part in a step between ancestor alias `anc` and
+/// descendant alias `desc`: the containment pair `anc.pre < desc.pre` (its
+/// lower half) and `desc.pre <= anc.pre + anc.size` (its upper half), and
+/// the child step's `anc.level + 1 = desc.level`.
+struct StepRole {
+  enum Kind { kNone, kLower, kUpper, kLevel } kind = kNone;
+  int anc = -1;
+  int desc = -1;
+};
+
+StepRole ClassifyStep(const QualComparison& pred) {
+  auto is_col = [](const QualTerm& t, const char* col) {
+    return t.IsSimpleCol() && t.col == col;
+  };
+  StepRole role;
+  if (pred.op == CmpOp::kEq) {
+    for (const auto& [a, d] : {std::pair{&pred.lhs, &pred.rhs},
+                               std::pair{&pred.rhs, &pred.lhs}}) {
+      if (a->alias >= 0 && a->alias2 < 0 && a->col == "level" &&
+          a->param < 0 && a->constant.IsNumeric() &&
+          a->constant.AsInt() == 1 && is_col(*d, "level") &&
+          d->alias != a->alias) {
+        return {StepRole::kLevel, a->alias, d->alias};
+      }
+    }
+    return role;
+  }
+  // Orient to `small < big` or `small <= big`.
+  const bool less = pred.op == CmpOp::kLt || pred.op == CmpOp::kLe;
+  const bool greater = pred.op == CmpOp::kGt || pred.op == CmpOp::kGe;
+  if (!less && !greater) return role;
+  const QualTerm& small = less ? pred.lhs : pred.rhs;
+  const QualTerm& big = less ? pred.rhs : pred.lhs;
+  if (!is_col(small, "pre")) return role;
+  if (is_col(big, "pre") && big.alias != small.alias) {
+    return {StepRole::kLower, small.alias, big.alias};
+  }
+  const bool pre_plus_size =
+      big.alias >= 0 && big.alias == big.alias2 && big.constant.is_null() &&
+      big.param < 0 &&
+      ((big.col == "pre" && big.col2 == "size") ||
+       (big.col == "size" && big.col2 == "pre"));
+  if (pre_plus_size && big.alias != small.alias) {
+    return {StepRole::kUpper, big.alias, small.alias};
+  }
+  return role;
 }
 
 // ---------------------------------------------------------------------------
@@ -176,18 +224,23 @@ class Planner {
     for (const auto& p : graph_.predicates) {
       masks_.push_back(p.AliasMask());
       sels_.push_back(PredSelectivity(p, db_));
+      hashable_.push_back(p.op == CmpOp::kEq && p.lhs.IsSimpleCol() &&
+                          p.rhs.IsSimpleCol() && p.lhs.alias != p.rhs.alias);
     }
     const size_t n = static_cast<size_t>(graph_.num_aliases);
     base_rows_.assign(n, static_cast<double>(db_.row_count()));
     neighbours_.assign(n, 0);
+    alias_preds_.assign(n, {});
     for (size_t i = 0; i < masks_.size(); ++i) {
       for (uint32_t m = masks_[i]; m; m &= m - 1) {
         const auto a = static_cast<size_t>(__builtin_ctz(m));
         neighbours_[a] |= masks_[i] & ~(1u << a);
+        alias_preds_[a].push_back(static_cast<int>(i));
         if (__builtin_popcount(masks_[i]) == 1) base_rows_[a] *= sels_[i];
       }
     }
     for (double& rows : base_rows_) rows = std::max(1.0, rows);
+    EstimateSteps();
   }
 
   Result<PhysicalPlan> Plan() {
@@ -200,6 +253,76 @@ class Planner {
  private:
   double RowsOf(int alias) const {
     return base_rows_[static_cast<size_t>(alias)];
+  }
+
+  /// Estimates each structural step as N:1 (Wu, Patel and Jagadish, EDBT
+  /// 2002, size the structural join by its descendants): every row of the
+  /// descendant alias lies below about one row of the ancestor alias,
+  /// after that alias's local predicates. So a containment pair's upper
+  /// half gets 1 / rows(ancestor), or the document's share of the rows
+  /// when the ancestor is one document node, and its lower half and the
+  /// child step's level equality get 1. Conjuncts of no complete pair
+  /// keep PredSelectivity's estimate.
+  void EstimateSteps() {
+    std::vector<StepRole> roles;
+    for (const auto& p : graph_.predicates) roles.push_back(ClassifyStep(p));
+    auto has = [&](StepRole::Kind kind, int anc, int desc) {
+      for (const StepRole& r : roles) {
+        if (r.kind == kind && r.anc == anc && r.desc == desc) return true;
+      }
+      return false;
+    };
+    for (size_t i = 0; i < roles.size(); ++i) {
+      const StepRole& r = roles[i];
+      if (r.kind == StepRole::kNone ||
+          !has(StepRole::kLower, r.anc, r.desc) ||
+          !has(StepRole::kUpper, r.anc, r.desc)) {
+        continue;
+      }
+      if (r.kind != StepRole::kUpper) {
+        sels_[i] = 1.0;
+        continue;
+      }
+      // A document node's name is its URI: it picks one document, not a
+      // tag, so only the descendants in that document lie below it.
+      const double share = DocumentShare(r.anc);
+      sels_[i] = share >= 0 ? share : 1.0 / RowsOf(r.anc);
+    }
+  }
+
+  /// When local predicates pin `alias` to the document node of one
+  /// document (`kind = 0 AND name = uri`), the share of the database's
+  /// rows in that document; else -1.
+  double DocumentShare(int alias) const {
+    const xml::DocTable* doc = db_.source();
+    bool document_node = false;
+    std::string uri;
+    for (int i : alias_preds_[static_cast<size_t>(alias)]) {
+      const QualComparison& p = graph_.predicates[static_cast<size_t>(i)];
+      if (__builtin_popcount(masks_[static_cast<size_t>(i)]) != 1 ||
+          p.op != CmpOp::kEq) {
+        continue;
+      }
+      const QualTerm& col = p.lhs.IsConst() ? p.rhs : p.lhs;
+      const QualTerm& val = p.lhs.IsConst() ? p.lhs : p.rhs;
+      if (!col.IsSimpleCol() || !val.IsConst() || val.IsParam()) continue;
+      if (col.col == "kind" && val.constant.IsNumeric() &&
+          val.constant.AsInt() == 0) {
+        document_node = true;
+      }
+      if (col.col == "name" && val.constant.type() == ValueType::kString) {
+        uri = val.constant.AsString();
+      }
+    }
+    if (!doc || !document_node || uri.empty()) return -1;
+    auto pre = doc->FindDocument(uri);
+    if (!pre.ok()) return -1;
+    const Value size = db_.Column(db_.ColumnIndex("size"))
+                           .GetValue(static_cast<size_t>(pre.value()));
+    if (!size.IsNumeric()) return -1;
+    const double rows =
+        std::max<double>(1, static_cast<double>(db_.row_count()));
+    return std::min(1.0, (size.AsDouble() + 1) / rows);
   }
 
   /// True iff predicate i is fully evaluable once `mask` is bound.
@@ -267,10 +390,8 @@ class Planner {
     double rows = std::max(1.0, left.rows * right.rows * sel);
     auto node = std::make_unique<PhysNode>();
     node->preds = PredsAt(edge);
-    bool has_eq = false;
-    for (const auto& p : node->preds) {
-      if (p.op == CmpOp::kEq) has_eq = true;
-    }
+    bool hashable = false;
+    for (int i : edge) hashable = hashable || hashable_[static_cast<size_t>(i)];
     double cost;
     if (right_is_single) {
       // Index nested-loop: re-plan the inner scan with outer bindings.
@@ -279,13 +400,11 @@ class Planner {
       node->kind = PhysKind::kNlJoin;
       cost = left.cost + left.rows * inner.cost + rows;
       node->right = std::move(inner.node);
-    } else if (has_eq) {
-      node->kind = PhysKind::kHsJoin;
-      cost = left.cost + right.cost + left.rows + right.rows + rows;
-      node->right = std::move(right.node);
     } else {
-      node->kind = PhysKind::kNlJoin;  // filter nested-loop
-      cost = left.cost + right.cost + left.rows * right.rows;
+      node->kind = hashable ? PhysKind::kHsJoin
+                            : PhysKind::kNlJoin;  // filter nested-loop
+      cost = PairCost(left.cost, left.rows, right.cost, right.rows, rows,
+                      hashable);
       node->right = std::move(right.node);
     }
     node->left = std::move(left.node);
@@ -321,16 +440,29 @@ class Planner {
   /// not depend on how the predicates are looked up; `edge`, if given,
   /// gets their indices.
   bool JoinEdge(uint32_t left, uint32_t right, double* sel,
-                std::vector<int>* edge = nullptr) const {
+                std::vector<int>* edge = nullptr,
+                bool* hashable = nullptr) const {
     bool connected = false;
     *sel = 1.0;
+    if (hashable) *hashable = false;
     for (size_t i = 0; i < masks_.size(); ++i) {
       if (!IsEdge(i, left, right)) continue;
       connected = true;
       *sel *= sels_[i];
       if (edge) edge->push_back(static_cast<int>(i));
+      if (hashable && hashable_[i]) *hashable = true;
     }
     return connected;
+  }
+
+  /// Cost of joining two subplans that are not an index nested loop: a
+  /// hash join on the column equalities of the edge when there is one,
+  /// else a nested loop that compares every pair (the pipeline's hash
+  /// join keys only on column = column, see columnar_exec.h).
+  static double PairCost(double lcost, double lrows, double rcost,
+                         double rrows, double rows, bool hashable) {
+    return hashable ? lcost + rcost + lrows + rrows + rows
+                    : lcost + rcost + lrows * rrows;
   }
 
   struct DpEntry {
@@ -357,7 +489,8 @@ class Planner {
         const uint32_t right = mask & ~left;
         if (!dp[left].valid || !dp[right].valid) continue;
         double sel;
-        if (!JoinEdge(left, right, &sel)) continue;
+        bool hashable;
+        if (!JoinEdge(left, right, &sel, nullptr, &hashable)) continue;
         const double rows =
             std::max(1.0, dp[left].rows * dp[right].rows * sel);
         double cost;
@@ -365,8 +498,8 @@ class Planner {
           int alias = static_cast<int>(__builtin_ctz(right));
           cost = dp[left].cost + dp[left].rows * ScanCost(alias, left) + rows;
         } else {
-          cost = dp[left].cost + dp[right].cost + dp[left].rows +
-                 dp[right].rows + rows;
+          cost = PairCost(dp[left].cost, dp[left].rows, dp[right].cost,
+                          dp[right].rows, rows, hashable);
         }
         if (!best.valid || cost < best.cost) {
           best.valid = true;
@@ -413,52 +546,25 @@ class Planner {
                 __builtin_popcount(right) == 1);
   }
 
+  /// Beyond DP's reach: in syntactic mode, aliases in syntactic order
+  /// from alias 0; in cost mode, the cheapest of the greedy orders grown
+  /// from each alias.
   Result<PhysicalPlan> PlanGreedy() {
-    const int n = graph_.num_aliases;
-    std::vector<bool> joined(static_cast<size_t>(n), false);
-    // Syntactic mode starts from alias 0; cost mode from the most
-    // selective alias.
-    int start = 0;
-    if (!options_.syntactic_order) {
-      double best_rows = 1e300;
-      for (int a = 0; a < n; ++a) {
-        double rows = RowsOf(a);
-        if (rows < best_rows) {
-          best_rows = rows;
-          start = a;
-        }
+    double best_cost = 0;
+    std::vector<int> best = GreedyOrder(0, &best_cost);
+    for (int start = 1; !options_.syntactic_order && start < graph_.num_aliases;
+         ++start) {
+      double cost = 0;
+      std::vector<int> order = GreedyOrder(start, &cost);
+      if (cost < best_cost) {
+        best_cost = cost;
+        best = std::move(order);
       }
     }
-    SubPlan current = MakeScan(start, 0);
-    joined[static_cast<size_t>(start)] = true;
-    for (int step = 1; step < n; ++step) {
-      int pick = -1;
-      double pick_cost = 1e300;
-      for (int a = 0; a < n; ++a) {
-        if (joined[static_cast<size_t>(a)]) continue;
-        if (options_.syntactic_order) {
-          // The lowest-numbered alias joined to the plan by a predicate;
-          // the lowest-numbered one only when none is (a cross product).
-          if (pick < 0) pick = a;
-          if (neighbours_[static_cast<size_t>(a)] & current.mask) {
-            pick = a;
-            break;
-          }
-          continue;
-        }
-        double sel;
-        const bool connected = JoinEdge(current.mask, 1u << a, &sel);
-        const double rows = std::max(1.0, current.rows * RowsOf(a) * sel);
-        double cost = current.cost +
-                      current.rows * ScanCost(a, current.mask) + rows +
-                      (connected ? 0 : 1e12);
-        if (cost < pick_cost) {
-          pick_cost = cost;
-          pick = a;
-        }
-      }
-      current = Join(std::move(current), MakeScan(pick, current.mask), true);
-      joined[static_cast<size_t>(pick)] = true;
+    SubPlan current = MakeScan(best[0], 0);
+    for (size_t i = 1; i < best.size(); ++i) {
+      current = Join(std::move(current), MakeScan(best[i], current.mask),
+                     true);
     }
     PhysicalPlan plan;
     plan.root = std::move(current.node);
@@ -467,13 +573,73 @@ class Planner {
     return plan;
   }
 
+  /// The left-deep join order grown from `start`, each step joining the
+  /// alias that is cheapest to add next (syntactic mode: the
+  /// lowest-numbered alias joined to the plan by a predicate, or the
+  /// lowest-numbered one when none is), and its estimated cost, which is
+  /// the cost Join() gives the plan built in that order.
+  std::vector<int> GreedyOrder(int start, double* cost) {
+    const int n = graph_.num_aliases;
+    std::vector<int> order = {start};
+    uint32_t mask = 1u << start;
+    double rows = RowsOf(start);
+    *cost = ScanCost(start, 0);
+    for (int step = 1; step < n; ++step) {
+      int pick = -1;
+      double pick_cost = 1e300, pick_step = 0, pick_rows = 0;
+      for (int a = 0; a < n; ++a) {
+        if (mask & (1u << a)) continue;
+        const bool linked = neighbours_[static_cast<size_t>(a)] & mask;
+        if (options_.syntactic_order && pick >= 0 && !linked) continue;
+        double sel;
+        const bool connected = StepEdge(mask, a, &sel);
+        const double next_rows = std::max(1.0, rows * RowsOf(a) * sel);
+        const double step_cost = rows * ScanCost(a, mask) + next_rows;
+        if (options_.syntactic_order) {
+          pick = a;
+          pick_step = step_cost;
+          pick_rows = next_rows;
+          if (linked) break;
+          continue;
+        }
+        const double total = step_cost + (connected ? 0 : 1e12);
+        if (total < pick_cost) {
+          pick_cost = total;
+          pick = a;
+          pick_step = step_cost;
+          pick_rows = next_rows;
+        }
+      }
+      order.push_back(pick);
+      mask |= 1u << pick;
+      rows = pick_rows;
+      *cost += pick_step;
+    }
+    return order;
+  }
+
+  /// JoinEdge(mask, {a}) over the predicates on `a` only.
+  bool StepEdge(uint32_t mask, int a, double* sel) const {
+    bool connected = false;
+    *sel = 1.0;
+    for (int i : alias_preds_[static_cast<size_t>(a)]) {
+      if (!IsEdge(static_cast<size_t>(i), mask, 1u << a)) continue;
+      connected = true;
+      *sel *= sels_[static_cast<size_t>(i)];
+    }
+    return connected;
+  }
+
   const JoinGraph& graph_;
   const Database& db_;
   PlannerOptions options_;
   std::vector<uint32_t> masks_;       // per predicate: AliasMask()
   std::vector<double> sels_;          // per predicate: PredSelectivity
+  /// per predicate: a column equality between two aliases (a hash key)
+  std::vector<bool> hashable_;
   std::vector<double> base_rows_;     // per alias: rows after local preds
   std::vector<uint32_t> neighbours_;  // per alias: aliases sharing a pred
+  std::vector<std::vector<int>> alias_preds_;  // per alias: its predicates
   std::unordered_map<uint64_t, double> scan_cost_memo_;
 };
 

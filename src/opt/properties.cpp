@@ -69,9 +69,15 @@ void AddPredCols(const algebra::Predicate& pred, ColumnIds* ids,
   }
 }
 
-bool IsSingleColEq(const Op& op) {
-  return op.kind == OpKind::kJoin && op.pred.conjuncts.size() == 1 &&
-         op.pred.conjuncts[0].IsColEq();
+/// The (lhs, rhs) column pairs of an equi-join (every conjunct a column
+/// equality); empty for any other operator.
+std::vector<std::pair<ColId, ColId>> EquiPairs(const Op& op, ColumnIds* ids) {
+  std::vector<std::pair<ColId, ColId>> pairs;
+  if (!IsEquiJoin(op)) return pairs;
+  for (const auto& c : op.pred.conjuncts) {
+    pairs.emplace_back(ids->Intern(c.lhs.col), ids->Intern(c.rhs.col));
+  }
+  return pairs;
 }
 
 /// Inserts `key` into `keys`, keeping only minimal keys and respecting the
@@ -148,10 +154,9 @@ void InferEqClasses(const Op& op, const NodeProps* const* kids,
     case OpKind::kJoin:
     case OpKind::kCross: {
       eq = MergeByCol(kids[0]->eq_class, kids[1]->eq_class);
-      if (IsSingleColEq(op)) {
-        const algebra::Comparison& eq_pred = op.pred.conjuncts[0];
-        const ColId ca = p->EqClassOf(ids->Intern(eq_pred.lhs.col));
-        const ColId cb = p->EqClassOf(ids->Intern(eq_pred.rhs.col));
+      for (const auto& [a, b] : EquiPairs(op, ids)) {
+        const ColId ca = p->EqClassOf(a);
+        const ColId cb = p->EqClassOf(b);
         if (ca != kNoCol && cb != kNoCol) {
           const ColId to = std::min(ca, cb), from = std::max(ca, cb);
           for (auto& [col, cls] : eq) {
@@ -232,6 +237,15 @@ bool NodeProps::HasSingletonKey(ColId col) const {
   return false;
 }
 
+bool NodeProps::HasKeyAmong(const ColSet& within) const {
+  for (const auto& key : keys) {
+    if (std::includes(within.begin(), within.end(), key.begin(), key.end())) {
+      return true;
+    }
+  }
+  return false;
+}
+
 bool NodeProps::HasKeyWithinModuloEq(const ColSet& within) const {
   for (const auto& key : keys) {
     bool all = true;
@@ -275,13 +289,7 @@ bool NodeProps::HasSingletonKey(const std::string& col) const {
 }
 
 bool NodeProps::HasKeyWithin(const std::set<std::string>& within) const {
-  const ColSet ids = ToIds(names, within);
-  for (const auto& key : keys) {
-    if (std::includes(ids.begin(), ids.end(), key.begin(), key.end())) {
-      return true;
-    }
-  }
-  return false;
+  return HasKeyAmong(ToIds(names, within));
 }
 
 std::set<std::string> NodeProps::IcolNames() const {
@@ -392,25 +400,26 @@ void InferUp(const Op& op, const NodeProps* const* kids, ColumnIds* ids,
       const NodeProps& l = *kids[0];
       const NodeProps& r = *kids[1];
       p->consts = MergeByCol(l.consts, r.consts);
-      const bool single_eq = IsSingleColEq(op);
-      ColId a = kNoCol, b = kNoCol;
+      // Each pair oriented (left column, right column).
+      std::vector<std::pair<ColId, ColId>> pairs = EquiPairs(op, ids);
+      ColSet lcols, rcols;
+      for (auto& [a, b] : pairs) {
+        if (!Contains(l.cols, a)) std::swap(a, b);
+        lcols.push_back(a);
+        rcols.push_back(b);
+      }
+      Normalize(&lcols);
+      Normalize(&rcols);
+      // Table IV, equi-join: if the right join columns determine a key of
+      // the right input, every left key survives (and vice versa).
       bool equi_handled = false;
-      if (single_eq) {
-        a = ids->Intern(op.pred.conjuncts[0].lhs.col);
-        b = ids->Intern(op.pred.conjuncts[0].rhs.col);
-        const bool a_left = Contains(l.cols, a);
-        const ColId lcol = a_left ? a : b;
-        const ColId rcol = a_left ? b : a;
-        // Table IV, equi-join: if the right join column is a key of the
-        // right input, every left key survives (and vice versa).
-        if (r.HasSingletonKey(rcol)) {
-          for (const auto& k : l.keys) AddKey(&p->keys, k, &p->consts);
-          equi_handled = true;
-        }
-        if (l.HasSingletonKey(lcol)) {
-          for (const auto& k : r.keys) AddKey(&p->keys, k, &p->consts);
-          equi_handled = true;
-        }
+      if (!pairs.empty() && r.HasKeyWithinModuloEq(rcols)) {
+        for (const auto& k : l.keys) AddKey(&p->keys, k, &p->consts);
+        equi_handled = true;
+      }
+      if (!pairs.empty() && l.HasKeyWithinModuloEq(lcols)) {
+        for (const auto& k : r.keys) AddKey(&p->keys, k, &p->consts);
+        equi_handled = true;
       }
       if (!equi_handled) {
         for (const auto& k1 : l.keys) {
@@ -424,7 +433,7 @@ void InferUp(const Op& op, const NodeProps* const* kids, ColumnIds* ids,
       }
       // For an equi-join a = b, every output row satisfies a = b, so a
       // and b are interchangeable inside candidate keys.
-      if (single_eq) {
+      for (const auto& [a, b] : pairs) {
         const std::vector<ColSet> snapshot = p->keys;
         for (const auto& k : snapshot) {
           for (const auto& [from, to] : {std::pair{a, b}, std::pair{b, a}}) {

@@ -80,6 +80,8 @@ struct NodeProps {
   const Value* ConstOf(ColId col) const;
   ColId EqClassOf(ColId col) const;  ///< kNoCol when absent
   bool HasSingletonKey(ColId col) const;
+  /// True iff some candidate key is contained in `within`.
+  bool HasKeyAmong(const ColSet& within) const;
   /// True iff some candidate key lies within `within`, where a key column
   /// may be represented by any column of its equality class.
   bool HasKeyWithinModuloEq(const ColSet& within) const;
@@ -116,6 +118,17 @@ void AddDemand(const algebra::Op& parent, const NodeProps& pp,
 
 /// Sorts and deduplicates a column list into a ColSet.
 void Normalize(ColSet* cols);
+
+/// True iff `op` is a join whose every conjunct is a column equality.
+inline bool IsEquiJoin(const algebra::Op& op) {
+  if (op.kind != algebra::OpKind::kJoin || op.pred.conjuncts.empty()) {
+    return false;
+  }
+  for (const auto& c : op.pred.conjuncts) {
+    if (!c.IsColEq()) return false;
+  }
+  return true;
+}
 
 class PropertyMap {
  public:

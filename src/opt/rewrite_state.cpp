@@ -319,6 +319,23 @@ void RewriteState::Settle() {
   }
 }
 
+std::vector<Op*> RewriteState::AncestorsBottomUp(const Op* op) const {
+  // order_ lists parents first; walked backwards, every operator comes
+  // after its children.
+  std::set<const Node*> above = {&At(op)};
+  std::vector<Op*> out;
+  for (auto it = order_.rbegin(); it != order_.rend(); ++it) {
+    const Node* n = *it;
+    for (const Node* kid : n->kids) {
+      if (!above.count(kid)) continue;
+      above.insert(n);
+      out.push_back(n->op.get());
+      break;
+    }
+  }
+  return out;
+}
+
 bool RewriteState::Reaches(const Op* from, const Op* target) {
   Node* goal = &At(target);
   ++epoch_;

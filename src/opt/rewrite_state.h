@@ -88,6 +88,10 @@ class RewriteState {
     return false;
   }
 
+  /// The operators from which `op` is reachable along child edges, `op`
+  /// excluded, each after its children among them.
+  std::vector<algebra::Op*> AncestorsBottomUp(const algebra::Op* op) const;
+
   /// True iff `target` is reachable from `from` along child edges (a
   /// node reaches itself), as algebra::Reaches.
   bool Reaches(const algebra::Op* from, const algebra::Op* target);

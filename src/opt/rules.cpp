@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <map>
 #include <set>
+#include <unordered_map>
 
 #include "src/algebra/validate.h"
 
@@ -41,18 +43,38 @@ std::vector<std::pair<std::string, std::string>> Identity(
   return out;
 }
 
-bool IsSingleEqJoin(const Op* op) {
-  return op->kind == OpKind::kJoin && op->pred.conjuncts.size() == 1 &&
-         op->pred.conjuncts[0].IsColEq();
+/// Canonical key of an equi-join predicate; used as a total order that
+/// makes "may push below" antisymmetric between two equi-joins (rule (11)
+/// would otherwise let two joins swap positions forever).
+std::string JoinOrderKey(const Op* op) {
+  std::vector<std::string> eqs;
+  for (const auto& c : op->pred.conjuncts) {
+    const std::string& a = c.lhs.col;
+    const std::string& b = c.rhs.col;
+    eqs.push_back(a < b ? a + "=" + b : b + "=" + a);
+  }
+  std::sort(eqs.begin(), eqs.end());
+  std::string key;
+  for (const auto& eq : eqs) key += (key.empty() ? "" : "&") + eq;
+  return key;
 }
 
-/// Canonical key of a single-equality join predicate; used as a total
-/// order that makes "may push below" antisymmetric between two such joins
-/// (rule (11) would otherwise let two joins swap positions forever).
-std::string JoinOrderKey(const Op* op) {
-  const std::string& a = op->pred.conjuncts[0].lhs.col;
-  const std::string& b = op->pred.conjuncts[0].rhs.col;
-  return a < b ? a + "=" + b : b + "=" + a;
+/// The conjunction of `lhs[i] = rhs[i]`.
+Predicate ColEqs(const std::vector<std::string>& lhs,
+                 const std::vector<std::string>& rhs) {
+  Predicate pred;
+  for (size_t i = 0; i < lhs.size(); ++i) {
+    pred.And(Term::Col(lhs[i]), CmpOp::kEq, Term::Col(rhs[i]));
+  }
+  return pred;
+}
+
+/// The source of projection output `out`, or null.
+const std::string* SourceOf(const Op* proj, const std::string& out) {
+  for (const auto& [o, in] : proj->proj) {
+    if (o == out) return &in;
+  }
+  return nullptr;
 }
 
 }  // namespace
@@ -161,12 +183,11 @@ bool Rewriter::RuleIntroduceTailDistinct(Op* node) {
 }
 
 // Rule (9b): pi_A(S) join_{x=y} pi_B(S) over the same keyed S collapses to
-// a single merged projection of S.
+// a single merged projection of S. With several equalities x_i = y_i, the
+// x_i and y_i must copy the same columns of S, and those columns must hold
+// a key of S.
 bool Rewriter::RuleMergeSelfJoin(Op* node) {
-  if (node->kind != OpKind::kJoin) return false;
-  if (node->pred.conjuncts.size() != 1 || !node->pred.conjuncts[0].IsColEq()) {
-    return false;
-  }
+  if (!IsEquiJoin(*node)) return false;
   Op* left = node->children[0].get();
   Op* right = node->children[1].get();
   if (left->kind != OpKind::kProject || right->kind != OpKind::kProject) {
@@ -174,26 +195,18 @@ bool Rewriter::RuleMergeSelfJoin(Op* node) {
   }
   if (left->children[0] != right->children[0]) return false;
   const Op* base = left->children[0].get();
-  const std::string& a = node->pred.conjuncts[0].lhs.col;
-  const std::string& b = node->pred.conjuncts[0].rhs.col;
-  const std::string& lcol = left->HasColumn(a) ? a : b;
-  const std::string& rcol = left->HasColumn(a) ? b : a;
-  auto source_of = [](const Op* proj, const std::string& out)
-      -> const std::string* {
-    const std::string* src = nullptr;
-    for (const auto& [o, in] : proj->proj) {
-      if (o == out) {
-        if (src) return nullptr;  // ambiguous (cannot happen: outs unique)
-        src = &in;
-      }
-    }
-    return src;
-  };
-  const std::string* lsrc = source_of(left, lcol);
-  const std::string* rsrc = source_of(right, rcol);
-  if (!lsrc || !rsrc || *lsrc != *rsrc) return false;
-  if (!state_.Props(base).HasSingletonKey(*lsrc)) return false;
-  // Join on a key column of the shared input: every row pairs with itself.
+  const NodeProps& bp = state_.Props(base);
+  ColSet sources;
+  for (const auto& c : node->pred.conjuncts) {
+    const bool a_left = left->HasColumn(c.lhs.col);
+    const std::string* lsrc = SourceOf(left, a_left ? c.lhs.col : c.rhs.col);
+    const std::string* rsrc = SourceOf(right, a_left ? c.rhs.col : c.lhs.col);
+    if (!lsrc || !rsrc || *lsrc != *rsrc) return false;
+    sources.push_back(bp.names->Find(*lsrc));
+  }
+  Normalize(&sources);
+  if (!bp.HasKeyAmong(sources)) return false;
+  // Join on a key of the shared input: every row pairs with itself.
   std::vector<std::pair<std::string, std::string>> merged = left->proj;
   merged.insert(merged.end(), right->proj.begin(), right->proj.end());
   state_.Replace(node, MakeProject(left->children[0], std::move(merged)));
@@ -217,15 +230,11 @@ bool Rewriter::RuleConstJoinToCross(Op* node) {
   return true;
 }
 
-// Rule (11) with the inline rule-(9a) degenerate check: push a
-// single-column equi-join below one of its child operators.
+// Rule (11) with the inline rule-(9a) degenerate check: push an equi-join
+// below one of its child operators.
 bool Rewriter::RulePushJoinDown(Op* node) {
-  if (node->kind != OpKind::kJoin) return false;
-  if (node->pred.conjuncts.size() != 1 || !node->pred.conjuncts[0].IsColEq()) {
-    return false;
-  }
-  const std::string& a = node->pred.conjuncts[0].lhs.col;
-  const std::string& b = node->pred.conjuncts[0].rhs.col;
+  if (!IsEquiJoin(*node)) return false;
+  const auto& conjuncts = node->pred.conjuncts;
 
   for (int side = 0; side < 2; ++side) {
     Op* box = node->children[side].get();
@@ -241,51 +250,61 @@ bool Rewriter::RulePushJoinDown(Op* node) {
       default:
         continue;  // delta, rowid, leaves, serialize: not pushable
     }
-    // Anti-ping-pong: between two single-equality joins, only the one with
-    // the smaller canonical predicate key may descend below the other.
-    if (IsSingleEqJoin(box) && !(JoinOrderKey(node) < JoinOrderKey(box))) {
+    // Anti-ping-pong: between two equi-joins, only the one with the
+    // smaller canonical predicate key may descend below the other.
+    if (IsEquiJoin(*box) && !(JoinOrderKey(node) < JoinOrderKey(box))) {
       continue;
     }
-    const std::string& jcol = box->HasColumn(a) ? a : b;
-    const std::string& ocol = box->HasColumn(a) ? b : a;
-
-    // Map the join column through the box.
-    std::string mapped = jcol;
-    if (box->kind == OpKind::kProject) {
-      const std::string* src = nullptr;
-      bool ambiguous = false;
-      for (const auto& [out, in] : box->proj) {
-        if (out == jcol) {
-          if (src) ambiguous = true;
+    // Per equality: the other side's column, and the box side's column
+    // mapped through the box.
+    std::vector<std::string> ocols, mapped;
+    bool mappable = true;
+    for (const auto& c : conjuncts) {
+      const bool a_in_box = box->HasColumn(c.lhs.col);
+      const std::string& jcol = a_in_box ? c.lhs.col : c.rhs.col;
+      ocols.push_back(a_in_box ? c.rhs.col : c.lhs.col);
+      if (box->kind == OpKind::kProject) {
+        const std::string* src = nullptr;
+        for (const auto& [out, in] : box->proj) {
+          if (out != jcol) continue;
+          if (src) mappable = false;  // ambiguous
           src = &in;
         }
+        if (!src) mappable = false;
+        mapped.push_back(src ? *src : jcol);
+      } else {
+        // A join column created by the box cannot move below it.
+        if ((box->kind == OpKind::kAttach || box->kind == OpKind::kRank) &&
+            box->col == jcol) {
+          mappable = false;
+        }
+        mapped.push_back(jcol);
       }
-      if (!src || ambiguous) continue;
-      mapped = *src;
-    } else if (box->kind == OpKind::kAttach || box->kind == OpKind::kRank) {
-      if (box->col == jcol) continue;  // join col is created by the box
     }
+    if (!mappable) continue;
 
-    // Select the box input that provides the mapped column.
+    // Select the box input that provides every mapped column.
     size_t slot = 0;
     if (box->children.size() == 2) {
-      if (box->children[0]->HasColumn(mapped)) {
-        slot = 0;
-      } else if (box->children[1]->HasColumn(mapped)) {
-        slot = 1;
-      } else {
-        continue;
-      }
-    } else if (!box->children[0]->HasColumn(mapped)) {
-      continue;
+      slot = box->children[0]->HasColumn(mapped[0]) ? 0 : 1;
     }
     const OpPtr& inner = box->children[slot];
+    bool provided = true;
+    for (const auto& col : mapped) {
+      if (!inner->HasColumn(col)) provided = false;
+    }
+    if (!provided) continue;
 
     // Rule (9a): the push would create inner join_{c=c} inner over the
-    // same node on a key column -> the join is the identity; drop it.
-    const bool degenerate =
-        inner.get() == other.get() && mapped == ocol &&
-        state_.Props(inner.get()).HasSingletonKey(mapped);
+    // same node on a key -> the join is the identity; drop it.
+    bool degenerate = inner.get() == other.get() && mapped == ocols;
+    if (degenerate) {
+      const NodeProps& ip = state_.Props(inner.get());
+      ColSet cols;
+      for (const auto& col : mapped) cols.push_back(ip.names->Find(col));
+      Normalize(&cols);
+      degenerate = ip.HasKeyAmong(cols);
+    }
     if (!degenerate && !SchemasDisjoint(*inner, *other)) continue;
     // q2 must not reach the box (would create a cycle). Checked last of
     // the cheap conditions: it walks q2's subplan.
@@ -344,10 +363,7 @@ bool Rewriter::RulePushJoinDown(Op* node) {
     }
 
     const OpPtr pushed =
-        degenerate ? inner
-                   : MakeJoin(inner, other,
-                              Predicate::Single(Term::Col(mapped), CmpOp::kEq,
-                                                Term::Col(ocol)));
+        degenerate ? inner : MakeJoin(inner, other, ColEqs(mapped, ocols));
     OpPtr rebuilt;
     switch (box->kind) {
       case OpKind::kProject:
@@ -555,21 +571,138 @@ bool Rewriter::RuleRankSplice(Op* node) {
 }
 
 // Rowid elimination: # attaches *arbitrary* unique row ids (Table I), so
-// over an input with a singleton candidate key the ids may simply copy
-// that key column. This dissolves the FOR rule's #inner plumbing whenever
-// the loop input is keyed (e.g. top-level loops, where iter is constant
-// and fs:ddo guarantees item-uniqueness).
+// over an input with a candidate key the ids may simply be that key. This
+// dissolves the FOR rule's #inner plumbing whenever the loop input is
+// keyed. A singleton key (e.g. top-level loops, where iter is constant and
+// fs:ddo guarantees item-uniqueness) is copied into the rowid column. A
+// composite key (a nested loop's (iter, item)) replaces the column
+// throughout: see ExpandRowId.
 bool Rewriter::RuleRowIdFromKey(Op* node) {
   if (node->kind != OpKind::kRowId) return false;
   const NodeProps& c = state_.Props(node->children[0].get());
+  const ColSet* narrowest = nullptr;
   for (const auto& k : c.keys) {
-    if (k.size() != 1) continue;
-    auto proj = Identity(node->children[0]->schema);
-    proj.emplace_back(node->col, c.names->Name(k[0]));
-    state_.Replace(node, MakeProject(node->children[0], std::move(proj)));
-    return true;
+    if (k.size() == 1) {
+      auto proj = Identity(node->children[0]->schema);
+      proj.emplace_back(node->col, c.names->Name(k[0]));
+      state_.Replace(node, MakeProject(node->children[0], std::move(proj)));
+      return true;
+    }
+    if (!narrowest || k.size() < narrowest->size()) narrowest = &k;
   }
-  return false;
+  if (!narrowest) return false;
+  std::vector<std::string> key;
+  for (ColId col : *narrowest) key.push_back(c.names->Name(col));
+  return ExpandRowId(node, key);
+}
+
+// The rowid column `a` becomes the key columns k_1..k_m of the rowid's
+// input. Above the rowid, every column derived from `a` (a projection's
+// renamed copy `o` of it, and so on upwards) becomes m columns o, o_1, ..,
+// o_{m-1}; each equality between two derived columns in a join or select
+// becomes the conjunction of their component equalities, and a rank
+// ordered by one orders by its components. Row ids are only ever compared
+// for equality with copies of themselves, so this preserves every
+// predicate; any other use leaves the rowid in place.
+bool Rewriter::ExpandRowId(Op* node, const std::vector<std::string>& key) {
+  using Components = std::map<std::string, std::vector<std::string>>;
+  struct Edit {
+    Op* op;
+    std::vector<std::pair<std::string, std::string>> proj;
+    Predicate pred;
+    std::vector<std::string> order;
+  };
+  std::unordered_map<const Op*, Components> derived;
+  derived[node] = {{node->col, key}};
+  std::vector<Edit> edits;
+  for (Op* op : state_.AncestorsBottomUp(node)) {
+    Components in;
+    for (const OpPtr& kid : op->children) {
+      auto it = derived.find(kid.get());
+      if (it != derived.end()) in.insert(it->second.begin(), it->second.end());
+    }
+    if (in.empty()) continue;
+    auto uses = [&](const std::string& col) { return in.count(col) > 0; };
+    Edit edit{op, {}, {}, {}};
+    Components out = in;
+    switch (op->kind) {
+      case OpKind::kProject: {
+        out.clear();
+        std::set<std::string> names;
+        for (const auto& [o, src] : op->proj) {
+          auto it = in.find(src);
+          if (it == in.end()) {
+            edit.proj.emplace_back(o, src);
+            names.insert(o);
+            continue;
+          }
+          std::vector<std::string>& comps = out[o];
+          for (size_t j = 0; j < it->second.size(); ++j) {
+            comps.push_back(j == 0 ? o : o + "_" + std::to_string(j));
+            edit.proj.emplace_back(comps.back(), it->second[j]);
+            names.insert(comps.back());
+          }
+        }
+        if (names.size() != edit.proj.size()) return false;  // name clash
+        break;
+      }
+      case OpKind::kSelect:
+      case OpKind::kJoin:
+        for (const Comparison& c : op->pred.conjuncts) {
+          const bool touches = uses(c.lhs.col) || uses(c.lhs.col2) ||
+                               uses(c.rhs.col) || uses(c.rhs.col2);
+          if (!touches) {
+            edit.pred.conjuncts.push_back(c);
+            continue;
+          }
+          if (!c.IsColEq() || !uses(c.lhs.col) || !uses(c.rhs.col)) {
+            return false;
+          }
+          const Predicate eqs = ColEqs(in[c.lhs.col], in[c.rhs.col]);
+          edit.pred.conjuncts.insert(edit.pred.conjuncts.end(),
+                                     eqs.conjuncts.begin(),
+                                     eqs.conjuncts.end());
+        }
+        break;
+      case OpKind::kRank:
+        for (const auto& b : op->order) {
+          if (!uses(b)) {
+            edit.order.push_back(b);
+            continue;
+          }
+          edit.order.insert(edit.order.end(), in[b].begin(), in[b].end());
+        }
+        break;
+      case OpKind::kAttach:
+      case OpKind::kRowId:
+      case OpKind::kDistinct:
+      case OpKind::kCross:
+        break;
+      default:
+        return false;  // serialize: a row id is never a result column
+    }
+    derived[op] = std::move(out);
+    edits.push_back(std::move(edit));
+  }
+  for (Edit& edit : edits) {
+    switch (edit.op->kind) {
+      case OpKind::kProject:
+        edit.op->proj = std::move(edit.proj);
+        break;
+      case OpKind::kSelect:
+      case OpKind::kJoin:
+        edit.op->pred = std::move(edit.pred);
+        break;
+      case OpKind::kRank:
+        edit.op->order = std::move(edit.order);
+        break;
+      default:
+        continue;
+    }
+    state_.Touched(edit.op);
+  }
+  state_.Replace(node, node->children[0]);
+  return true;
 }
 
 // Housekeeping: compose two stacked projections.

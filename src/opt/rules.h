@@ -25,6 +25,7 @@
 
 #include <map>
 #include <string>
+#include <vector>
 
 #include "src/algebra/dag.h"
 #include "src/algebra/operators.h"
@@ -94,6 +95,9 @@ class Rewriter {
   bool RuleProjectProject(algebra::Op* node);                 // (hk-ππ)
   bool RuleProjectIdentity(algebra::Op* node);                // (hk-πid)
   bool RuleRowIdFromKey(algebra::Op* node);                   // (#key)
+  /// RuleRowIdFromKey over a composite key: replaces rowid `node` and
+  /// every column derived from it above by the columns of `key`.
+  bool ExpandRowId(algebra::Op* node, const std::vector<std::string>& key);
 
   algebra::OpPtr Ptr(algebra::Op* node) const;
 

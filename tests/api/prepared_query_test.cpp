@@ -474,8 +474,9 @@ TEST_F(ParameterizedQueryTest, StringParameterReachesTheIndexProbe) {
 }
 
 TEST_F(ParameterizedQueryTest, FallbackPlansTakeParameters) {
-  // Q2 does not extract to a join graph, so join-graph mode runs its
-  // isolated plan, which binds the parameter like a stacked plan does.
+  // Q2 isolates to a join graph, so join-graph mode binds the parameter
+  // in the planned join graph; the bindings must select what the native
+  // interpreter selects.
   ASSERT_NO_FATAL_FAILURE(LoadAuction());
   const std::string query =
       "declare variable $p as xs:decimal external; "
@@ -490,8 +491,8 @@ TEST_F(ParameterizedQueryTest, FallbackPlansTakeParameters) {
   options.mode = Mode::kJoinGraph;
   auto prepared = processor_.Prepare(query, options);
   ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
-  EXPECT_TRUE(prepared.value()->used_fallback);
-  EXPECT_FALSE(prepared.value()->has_plan);
+  EXPECT_FALSE(prepared.value()->used_fallback);
+  EXPECT_TRUE(prepared.value()->has_plan);
   options.mode = Mode::kNativeWhole;
   auto native = processor_.Prepare(query, options);
   ASSERT_TRUE(native.ok()) << native.status().ToString();

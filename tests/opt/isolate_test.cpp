@@ -4,6 +4,7 @@
 
 #include "src/algebra/dag.h"
 #include "src/algebra/printer.h"
+#include "src/api/paper_queries.h"
 #include "src/compiler/compile.h"
 #include "src/engine/columnar/columnar_exec.h"
 #include "src/opt/isolate.h"
@@ -116,6 +117,35 @@ TEST(Pipeline, Q1ExtractsJoinGraph) {
   EXPECT_EQ(jg.value().num_aliases, 3);
   EXPECT_TRUE(jg.value().distinct);
   EXPECT_FALSE(jg.value().order_by.empty());
+}
+
+TEST(Pipeline, Q2ExtractsJoinGraph) {
+  // The three-way value join: each nested for-clause's rowid numbers
+  // (outer iteration, item) pairs, and isolation replaces it by that
+  // composite key, so the whole query becomes one join graph.
+  const api::PaperQuery& q2 = api::PaperQueries()[1];
+  ASSERT_EQ(q2.id, "Q2");
+  auto plan = CompileText(q2.text);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  auto iso = opt::Isolate(plan.value());
+  ASSERT_TRUE(iso.ok()) << iso.status().ToString();
+  const OpPtr& p = iso.value().isolated;
+  EXPECT_EQ(algebra::CountOps(p, algebra::OpKind::kRowId), 0u);
+  // One rank, the plan tail's, right below serialize; one δ.
+  EXPECT_EQ(iso.value().ranks_after, 1u);
+  ASSERT_EQ(p->children[0]->kind, algebra::OpKind::kRank);
+  EXPECT_EQ(iso.value().distincts_after, 1u);
+  // What is left of the cross products pairs the closed_auction loop with
+  // the document node that `$a` binds, once per nested for-clause.
+  EXPECT_EQ(algebra::CountOps(p, algebra::OpKind::kCross), 5u);
+  auto jg = opt::ExtractJoinGraph(p);
+  ASSERT_TRUE(jg.ok()) << jg.status().ToString() << "\n"
+                       << algebra::PrintPlan(p);
+  // Twelve aliases for the paths, two more document nodes, and two more
+  // copies of the first where-clause's itemref/@item/@id chain.
+  EXPECT_EQ(jg.value().num_aliases, 20);
+  EXPECT_TRUE(jg.value().distinct);
+  EXPECT_EQ(jg.value().order_by.size(), 4u);  // $ca, $i, $c, name
 }
 
 }  // namespace

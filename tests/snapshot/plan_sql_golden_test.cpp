@@ -113,7 +113,7 @@ TEST(GoldenExplain, JoinGraphPhysicalPlans) {
     EXPECT_TRUE(CheckGolden("explain/" + Stem(q.id) + ".txt",
                             prepared.value()->explain));
   }
-  EXPECT_EQ(planned, 5);  // Q1, Q3-Q6; Q2 does not extract yet
+  EXPECT_EQ(planned, 6);  // Q1-Q6
 }
 
 }  // namespace
