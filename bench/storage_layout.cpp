@@ -3,7 +3,9 @@
 //
 // Measures, on the scaled XMark instance:
 //   - Database::Build (typed materialization + statistics collection)
-//   - Table VI B-tree set build (typed-array sort comparators)
+//   - Table VI index set build (sorted permutations of pre ranks): total
+//     and per-index seconds, the number of permutations it sorts, and
+//     the index bytes (per node)
 //   - a name-equality scan through the three access paths: a boxed
 //     per-cell Value scan (the retired row layout), a typed plain-string
 //     column (columnar), and the dictionary-encoded column (dict — one
@@ -18,6 +20,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <set>
 #include <string>
 
 #include "bench/bench_common.h"
@@ -52,6 +55,30 @@ int main() {
   const double build_seconds = secs(t0, t1);
   const double index_seconds = secs(t1, t2);
   const long long nodes = static_cast<long long>(db->row_count());
+  // Index footprint: the distinct permutations, how many of them took a
+  // sort (an index led by `pre` is the identity), and their bytes with
+  // the key columns' dictionary ranks, each counted once.
+  std::set<const void*> perms, sorted, keys;
+  long long index_bytes = 0;
+  std::string per_index_json;
+  for (const auto& index : db->indexes()) {
+    const engine::SortedIndex& s = index->sorted;
+    if (perms.insert(&s.pres()).second) {
+      index_bytes += static_cast<long long>(s.pres().capacity() * 4);
+    }
+    for (size_t k = 0; k < s.num_keys(); ++k) {
+      if (keys.insert(&s.key(k)).second) index_bytes += s.key(k).ApproxBytes();
+    }
+    if (index->def.key_columns.front() != "pre") sorted.insert(&s.pres());
+    per_index_json += (per_index_json.empty() ? "" : ",");
+    per_index_json += "\"" + index->def.name + "\":" +
+                      std::to_string(index->build_seconds);
+  }
+  const double index_bytes_per_node =
+      static_cast<double>(index_bytes) /
+      static_cast<double>(std::max(1LL, nodes));
+  const int permutations = static_cast<int>(perms.size());
+  const int sorts = static_cast<int>(sorted.size());
   // Enough passes that even the dict scan runs tens of milliseconds.
   const int iters =
       static_cast<int>(std::max<long long>(4, 40000000 / (nodes + 1)));
@@ -83,7 +110,9 @@ int main() {
   std::printf(
       "Storage layout — XMark scale %.2f (%lld nodes)\n\n"
       "Database::Build (typed + stats):  %8.3f s\n"
-      "Table VI B-tree set:              %8.3f s\n\n"
+      "Table VI index set:               %8.3f s\n"
+      "  permutations (sorted):          %4d (%d)\n"
+      "  index bytes:                  %10lld  (%.2f per node)\n\n"
       "name = 'bidder' scan (%d passes, %lld matches/pass):\n"
       "  row (boxed per-cell Values):    %8.3f s  (%6.2f ns/row)\n"
       "  columnar (typed strings):       %8.3f s  (%6.2f ns/row)\n"
@@ -93,7 +122,8 @@ int main() {
       "memory (shared document block):\n"
       "  one shared block:               %10lld bytes\n"
       "  retained across all lanes:      %10lld bytes  (%.2fx)\n",
-      options.scale, nodes, build_seconds, index_seconds, scan.iters,
+      options.scale, nodes, build_seconds, index_seconds, permutations,
+      sorts, index_bytes, index_bytes_per_node, scan.iters,
       scan.matches, scan.row_seconds, scan.row_seconds * per_row,
       scan.columnar_seconds, scan.columnar_seconds * per_row,
       scan.dict_seconds, scan.dict_seconds * per_row,
@@ -102,17 +132,21 @@ int main() {
       shared_block, retained_all_lanes,
       static_cast<double>(retained_all_lanes) /
           std::max(1.0, static_cast<double>(shared_block)));
-  char buf[1280];
+  char buf[2048];
   std::snprintf(
       buf, sizeof(buf),
       "{\"bench\":\"storage_layout\",\"scale\":%.2f,\"nodes\":%lld,"
       "\"build_seconds\":%.6f,\"index_seconds\":%.6f,"
+      "\"index_permutations\":%d,\"index_sorts\":%d,\"index_bytes\":%lld,"
+      "\"index_bytes_per_node\":%.3f,\"index_build_seconds\":{%s},"
       "\"scan\":{\"iters\":%d,\"matches\":%lld,"
       "\"row_seconds\":%.6f,\"columnar_seconds\":%.6f,"
       "\"dict_seconds\":%.6f},"
       "\"memory_bytes\":{\"shared_block\":%lld,"
       "\"retained_all_lanes\":%lld}}\n",
-      options.scale, nodes, build_seconds, index_seconds, scan.iters,
+      options.scale, nodes, build_seconds, index_seconds, permutations,
+      sorts, index_bytes, index_bytes_per_node, per_index_json.c_str(),
+      scan.iters,
       scan.matches, scan.row_seconds, scan.columnar_seconds,
       scan.dict_seconds, shared_block, retained_all_lanes);
   return bench::WriteBenchJson(buf) ? 0 : 1;

@@ -1,12 +1,12 @@
 // CatalogSnapshot — one immutable, shared-ownership version of the
 // processor's catalog: the doc relation in every storage layout, the
-// relational database (columns + statistics + B-tree indexes), and the
+// relational database (columns + statistics + indexes), and the
 // native engines with their pattern indexes.
 //
 // The processor publishes exactly one current snapshot behind a swap;
 // catalog mutations (LoadDocument, index create/drop) build a NEW
 // snapshot and swap it in, sharing what they do not change: index DDL
-// shares the doc-relation columns/statistics and every untouched B-tree;
+// shares the doc-relation columns/statistics and every untouched index;
 // a document load shares the other URIs' parsed native-store documents,
 // while the merged doc relation (whose pre ranks span all documents) and
 // the relational database derive lazily from the retained sources.
@@ -51,12 +51,12 @@ struct CatalogSnapshot {
   std::map<std::string, uint64_t> doc_epochs;
   /// Bumped by relational index DDL (create/drop) only. Document loads
   /// reset the relational index set (historical contract) without bumping
-  /// this: plans pinned to older snapshots keep their own B-trees.
+  /// this: plans pinned to older snapshots keep their own indexes.
   uint64_t index_epoch = 0;
   /// Bumped by native XMLPATTERN index declarations.
   uint64_t pattern_epoch = 0;
 
-  /// Definitions of the relational B-tree set, keyed by index name
+  /// Definitions of the relational index set, keyed by index name
   /// (value: IndexDef::ToString()). Maintained by index DDL alongside
   /// index_epoch; a document load resets the index set (historical
   /// contract) and leaves this empty without bumping the epoch. The plan
@@ -101,7 +101,7 @@ struct CatalogSnapshot {
 
   /// Get-or-build the relational database over doc_table(). Thread-safe;
   /// every caller sees the same instance (plans compiled over it hold
-  /// pointers into its B-trees).
+  /// pointers into its indexes).
   std::shared_ptr<const engine::Database> relational_db() const;
 
   /// Approximate heap bytes of doc-relation STORAGE retained by this
@@ -110,7 +110,7 @@ struct CatalogSnapshot {
   /// pointer — the relational database and the columnar batches view the
   /// same objects) plus the native stores' materialized DOM trees.
   /// Excludes retained source text (the load input, not a storage copy),
-  /// column statistics, and B-trees. Never forces a lazy build: state
+  /// column statistics, and indexes. Never forces a lazy build: state
   /// that was not materialized costs nothing.
   int64_t RetainedStorageBytes() const;
 

@@ -92,7 +92,7 @@ struct CompileDiagnostics {
 /// so N threads may Execute the same instance simultaneously.
 ///
 /// A PreparedQuery pins the catalog snapshot it was compiled against
-/// (`catalog`), so its plan pointers (database columns, B-trees, native
+/// (`catalog`), so its plan pointers (database columns, indexes, native
 /// stores) stay valid for as long as the artifact lives — catalog
 /// mutations publish new snapshots instead of touching pinned ones.
 /// Execute accepts the artifact while every catalog object it touches

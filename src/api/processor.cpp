@@ -119,7 +119,7 @@ bool XQueryProcessor::ServableAgainst(const PreparedQuery& pq,
     // new index could make a better plan available. The check is gated on
     // the epoch (not run on every mutation) because document loads reset
     // the index set without bumping the epoch: pinned plans keep their
-    // own B-trees across loads by contract.
+    // own indexes across loads by contract.
     if (pq.used_indexes.empty()) return false;
     for (const auto& [name, def] : pq.used_indexes) {
       auto it = current.index_defs.find(name);
@@ -198,7 +198,7 @@ Status XQueryProcessor::LoadDocument(
   next->doc_epochs[uri] = reload ? cur->doc_epochs.at(uri) + 1 : 0;
   // Historical contract: loading a document resets the relational index
   // set (callers re-create it) and the native pattern indexes. The epoch
-  // stays — plans over other documents keep their pinned B-trees.
+  // stays — plans over other documents keep their pinned indexes.
   next->index_epoch = cur->index_epoch;
   next->pattern_epoch = cur->pattern_epoch;
   next->sources = std::move(sources);
@@ -239,7 +239,7 @@ Status XQueryProcessor::CreateRelationalIndexes(
   std::lock_guard<std::mutex> lock(mutation_mu_);
   const std::shared_ptr<const CatalogSnapshot> cur = snapshot();
   // Copy-on-write: the copy shares the doc-relation storage and every
-  // already-built B-tree with the published database.
+  // already-built index with the published database.
   auto db = std::make_shared<engine::Database>(*cur->relational_db());
   for (const auto& def : defs) {
     XQJG_RETURN_NOT_OK(db->CreateIndex(def));

@@ -119,8 +119,8 @@ class XQueryProcessor {
   Status LoadDocument(const std::string& uri, const std::string& xml_text,
                       const std::set<std::string>& segment_tags = {});
 
-  /// Creates the given relational B-tree set (default: Table VI) in a new
-  /// snapshot (copy-on-write: doc storage and prior B-trees are shared).
+  /// Creates the given relational index set (default: Table VI) in a new
+  /// snapshot (copy-on-write: doc storage and prior indexes are shared).
   /// Evicts/invalidates join-graph plans — they consult the index set.
   Status CreateRelationalIndexes(
       const std::vector<engine::IndexDef>& defs = engine::TableVIIndexes());

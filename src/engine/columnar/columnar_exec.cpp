@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "src/common/str.h"
-#include "src/engine/btree.h"
 #include "src/engine/columnar/column_batch.h"
 #include "src/engine/exec_stream.h"
 #include "src/engine/parallel/worker_pool.h"
@@ -279,7 +278,7 @@ bool KeepLazy(size_t survivors, size_t phys_rows) {
 /// enough pieces to balance skew.
 constexpr size_t kParallelRowCutoff = 2048;
 constexpr size_t kMorselRows = 1024;
-/// Outer rows of an index-probe loop: each row is a whole B-tree probe,
+/// Outer rows of an index-probe loop: each row is a whole index probe,
 /// so far fewer rows amortize a morsel.
 constexpr size_t kParallelProbeCutoff = 256;
 constexpr size_t kMorselProbeRows = 128;
@@ -1466,7 +1465,7 @@ class IndexProbeStream final : public BatchStream {
         in.num_rows = 1;  // a leaf probes once, with nothing bound
       }
       std::vector<uint32_t> orows;
-      std::vector<int64_t> pres;
+      std::vector<uint32_t> pres;
       XQJG_RETURN_NOT_OK(ProbeWindow(in, &orows, &pres));
       if (pres.empty()) continue;  // a matchless window yields nothing
       out->schema = op_->schema;
@@ -1482,90 +1481,67 @@ class IndexProbeStream final : public BatchStream {
                                        : std::make_shared<const ValueColumn>(
                                              col->Gather(orows)));
       }
-      const std::vector<uint32_t> rows(pres.begin(), pres.end());
       for (const ColumnRef& col : inner_cols_) {
         out->cols.push_back(
-            std::make_shared<const ValueColumn>(col->Gather(rows)));
+            std::make_shared<const ValueColumn>(col->Gather(pres)));
       }
       return true;
     }
   }
 
  private:
-  /// The B-tree range of (physical) outer row `orow`. Returns false when
-  /// a probe value is NULL: NULL never matches, so the scan is empty.
-  bool BuildProbeRange(size_t orow, KeyRange* range) const {
+  /// Binds the index range of (physical) outer row `orow` into `range`.
+  /// Returns false when a probe value is NULL: NULL never matches, so the
+  /// scan is empty.
+  bool BindRange(size_t orow, ProbeRange* range) const {
+    const SortedIndex& index = probe_.scan->index->sorted;
     // The key term's constant k turns `key + k OP v` into `key OP v - k`.
     auto value = [orow](const CompiledCmp& c) {
       return opt::AdjustProbeValue(c.lhs.constant, TermValue(c.rhs, 0, orow));
     };
+    range->Reset();
     for (const CompiledCmp& c : eq_) {
-      Value v = value(c);
-      if (v.is_null()) return false;
-      range->lower.push_back(v);
-      range->upper.push_back(std::move(v));
+      if (!range->AddEq(index, value(c))) return false;
     }
-    // The tightest bound on each side; on a tie the strict one wins.
-    bool have_lo = false, have_hi = false;
-    Value lo, hi;
     for (const CompiledCmp& c : range_) {
-      Value v = value(c);
-      if (v.is_null()) return false;
       const bool strict = c.op == CmpOp::kLt || c.op == CmpOp::kGt;
-      if (c.op == CmpOp::kLt || c.op == CmpOp::kLe) {
-        if (!have_hi || v.SortLess(hi) || (strict && !hi.SortLess(v))) {
-          hi = std::move(v);
-          range->upper_inclusive = !strict;
-        }
-        have_hi = true;
-      } else {
-        if (!have_lo || lo.SortLess(v) || (strict && !v.SortLess(lo))) {
-          lo = std::move(v);
-          range->lower_inclusive = !strict;
-        }
-        have_lo = true;
-      }
+      const bool lower = c.op == CmpOp::kGt || c.op == CmpOp::kGe;
+      if (!range->AddBound(index, value(c), lower, strict)) return false;
     }
-    if (have_lo) range->lower.push_back(std::move(lo));
-    if (have_hi) range->upper.push_back(std::move(hi));
     return true;
   }
 
-  /// Scans the probe range of outer row `orow`; appends each match's
+  /// Walks the index range of outer row `orow`; appends each match's
   /// outer row and pre rank. `clock` is the caller's clock: the execution
-  /// clock, or a morsel's worker clock.
-  Status Probe(size_t orow, BudgetClock* clock, std::vector<uint32_t>* orows,
-               std::vector<int64_t>* pres) {
-    KeyRange range;
-    if (!BuildProbeRange(orow, &range)) return Status::OK();
-    bool expired = false, over_rows = false;
-    probe_.scan->index->tree.Scan(range, [&](const Key&, int64_t pre) {
-      const auto doc_row = static_cast<size_t>(pre);
+  /// clock, or a morsel's worker clock; `range` is the caller's scratch.
+  Status Probe(size_t orow, BudgetClock* clock, ProbeRange* range,
+               std::vector<uint32_t>* orows, std::vector<uint32_t>* pres) {
+    if (!BindRange(orow, range)) return Status::OK();
+    const SortedIndex& index = probe_.scan->index->sorted;
+    const auto [first, last] = index.Find(*range);
+    const uint32_t* slice = index.pres().data();
+    for (size_t i = first; i < last; ++i) {
+      const uint32_t pre = slice[i];
       if (std::all_of(filter_.begin(), filter_.end(),
                       [&](const CompiledCmp& c) {
-                        return CmpPasses(c, doc_row, orow);
+                        return CmpPasses(c, pre, orow);
                       })) {
         orows->push_back(static_cast<uint32_t>(orow));
         pres->push_back(pre);
       }
       if (clock->RowsExceeded(static_cast<int64_t>(pres->size())) ||
           clock->RegionAborted()) {
-        over_rows = true;
-        return false;  // stop the scan
+        return clock->TickRows(static_cast<int64_t>(pres->size()));
       }
       if (clock->TickQuiet() && clock->Expired()) {
-        expired = true;
-        return false;  // stop the scan
+        return clock->CheckDeadline();
       }
-      return true;
-    });
-    if (over_rows) return clock->TickRows(static_cast<int64_t>(pres->size()));
-    if (expired) return clock->CheckDeadline();
+    }
     return Status::OK();
   }
 
   Status ProbeWindow(const ColumnBatch& in, std::vector<uint32_t>* orows,
-                     std::vector<int64_t>* pres) {
+                     std::vector<uint32_t>* pres) {
     if (in.num_rows > kMaxBatchRows) {
       return Status::Internal("probe input exceeds batch row limit");
     }
@@ -1583,16 +1559,17 @@ class IndexProbeStream final : public BatchStream {
     if (ctx_->threads > 1 && n >= kParallelProbeCutoff) {
       const size_t morsels = MorselCount(n, kMorselProbeRows);
       std::vector<std::vector<uint32_t>> oparts(morsels);
-      std::vector<std::vector<int64_t>> pparts(morsels);
+      std::vector<std::vector<uint32_t>> pparts(morsels);
       RegionBudget budget(ctx_->clock);
       parallel::WorkerPool::Instance().ParallelFor(
           ctx_->threads, morsels, [&](size_t m, int) {
             BudgetClock wclock = budget.Worker();
+            ProbeRange range;
             auto run = [&]() -> Status {
               const size_t end = std::min(n, (m + 1) * kMorselProbeRows);
               for (size_t r = m * kMorselProbeRows; r < end; ++r) {
-                XQJG_RETURN_NOT_OK(
-                    Probe(in.PhysRow(r), &wclock, &oparts[m], &pparts[m]));
+                XQJG_RETURN_NOT_OK(Probe(in.PhysRow(r), &wclock, &range,
+                                         &oparts[m], &pparts[m]));
                 XQJG_RETURN_NOT_OK(wclock.TickRows(
                     static_cast<int64_t>(pparts[m].size())));
               }
@@ -1608,8 +1585,10 @@ class IndexProbeStream final : public BatchStream {
         pres->insert(pres->end(), pparts[m].begin(), pparts[m].end());
       }
     } else {
+      ProbeRange range;
       for (size_t r = 0; r < n; ++r) {
-        XQJG_RETURN_NOT_OK(Probe(in.PhysRow(r), &ctx_->clock, orows, pres));
+        XQJG_RETURN_NOT_OK(
+            Probe(in.PhysRow(r), &ctx_->clock, &range, orows, pres));
         XQJG_RETURN_NOT_OK(ctx_->clock.TickRows(
             rows_out_ + static_cast<int64_t>(pres->size())));
       }
@@ -1660,7 +1639,7 @@ class PipelineBuilder {
   Result<std::unique_ptr<BatchStream>> Build(const Op* op) {
     if (const IndexProbe* probe = FindProbe(op)) {
       // A hinted π(doc) leaf, or × (outer, π(doc)): the doc side is
-      // never built — the probe reads the B-tree and the doc columns.
+      // never built — the probe reads the index and the doc columns.
       std::unique_ptr<BatchStream> outer;
       const Op* inner = op;
       if (op->kind != OpKind::kProject) {

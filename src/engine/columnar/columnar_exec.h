@@ -2,7 +2,7 @@
 // every relational plan: stacked plans, isolated plans whose join graph
 // cannot be extracted, and join-graph plans, which columnar/plan_exec.cpp
 // lowers onto the same operators (plus one index-probe operator for the
-// B-tree access paths).
+// index access paths).
 //
 // Shared sub-DAGs are memoized and materialized once, and every operator
 // honors the DNF budgets. Intermediates are ColumnBatches of typed
@@ -56,7 +56,7 @@ Result<std::unique_ptr<SequenceStream>> OpenSequenceStreamColumnar(
 /// "d<alias>.<col>".
 std::string AliasColumn(int alias, const std::string& col);
 
-/// A B-tree access path inside a lowered join-graph plan: the hinted op
+/// An index access path inside a lowered join-graph plan: the hinted op
 /// runs as index probes of `scan` (kIxScan). A hinted π(doc) leaf probes
 /// once; a hinted × (outer, π(doc)) probes once per outer row and emits
 /// outer ++ π columns. The π's projection names the scanned alias's
@@ -66,8 +66,8 @@ std::string AliasColumn(int alias, const std::string& col);
 /// the right, which carries every outer column they read.
 struct IndexProbe {
   const PhysNode* scan = nullptr;
-  /// Checked on each B-tree match: the scan's predicates evaluable at the
-  /// probe, and the nested loop's residual.
+  /// Checked on each row of the probed index slice: the scan's predicates
+  /// evaluable at the probe, and the nested loop's residual.
   algebra::Predicate filter;
   /// The probe range. Each comparison has the scanned alias's key term on
   /// the left and a term over outer columns or constants on the right:

@@ -79,7 +79,7 @@ void AppendUnique(std::vector<std::string>* names, const std::string& name) {
 /// the tail reads it. Joins become ⋈ over the lowered columns (the hash
 /// join keys on its column equalities). An index scan becomes a π(doc)
 /// leaf, or × (outer, π(doc)) under a nested loop, recorded in `probes`
-/// so the pipeline runs it on its B-tree.
+/// so the pipeline runs it on its index.
 class PlanLowering {
  public:
   explicit PlanLowering(LoweredPlan* out) : out_(out) {}

@@ -1,8 +1,7 @@
 #include "src/engine/database.h"
 
 #include <algorithm>
-#include <numeric>
-#include <set>
+#include <chrono>
 
 #include "src/common/str.h"
 #include "src/xml/doc_block.h"
@@ -241,96 +240,41 @@ int Database::ColumnIndex(const std::string& name) const {
 Status Database::CreateIndex(const IndexDef& def) {
   auto index = std::make_shared<Index>();
   index->def = def;
+  key_columns_.resize(EngineDocColumns().size());
+  std::vector<std::shared_ptr<const KeyColumn>> keys;
   for (const auto& col : def.key_columns) {
-    int idx = ColumnIndex(col);
+    const int idx = ColumnIndex(col);
     if (idx < 0) return Status::InvalidArgument("unknown column " + col);
-    index->key_cols.push_back(idx);
+    auto& key = key_columns_[static_cast<size_t>(idx)];
+    if (!key) {
+      XQJG_ASSIGN_OR_RETURN(key, KeyColumn::Make(ColumnPtr(idx)));
+    }
+    keys.push_back(key);
   }
-  // Sort pre ranks over the typed arrays (no per-cell Value boxing in the
-  // comparator). Per key column a three-way compare matching
-  // Value::SortLess: NULLs first, then the typed payload; dictionary
-  // columns compare via the lexicographic rank of their codes, computed
-  // once from the dictionary.
-  struct KeyColCmp {
-    const ValueColumn* col;
-    std::vector<uint32_t> dict_rank;  // kDictString only: code → rank
+  // The key columns before `pre` decide the order; pre breaks the ties.
+  auto order = [](const IndexDef& d) {
+    const auto& k = d.key_columns;
+    return std::vector<std::string>(k.begin(),
+                                    std::find(k.begin(), k.end(), "pre"));
   };
-  std::vector<KeyColCmp> cmps;
-  cmps.reserve(index->key_cols.size());
-  for (int c : index->key_cols) {
-    KeyColCmp cc;
-    cc.col = &Column(c);
-    if (cc.col->tag() == ColumnTag::kDictString) {
-      const auto& dict = cc.col->dict().strings;
-      std::vector<uint32_t> order(dict.size());
-      std::iota(order.begin(), order.end(), 0);
-      std::sort(order.begin(), order.end(),
-                [&](uint32_t a, uint32_t b) { return dict[a] < dict[b]; });
-      cc.dict_rank.resize(dict.size());
-      for (uint32_t r = 0; r < order.size(); ++r) {
-        cc.dict_rank[order[r]] = r;
-      }
-    }
-    cmps.push_back(std::move(cc));
+  const std::vector<std::string> sort_order = order(def);
+  std::shared_ptr<const std::vector<uint32_t>> pres;
+  for (const auto& other : indexes_) {
+    if (order(other->def) == sort_order) pres = other->sorted.pres_ptr();
   }
-  auto cmp3 = [](const KeyColCmp& cc, size_t a, size_t b) -> int {
-    const ValueColumn& col = *cc.col;
-    const bool an = col.IsNull(a), bn = col.IsNull(b);
-    if (an != bn) return an ? -1 : 1;
-    if (an) return 0;
-    switch (col.tag()) {
-      case ColumnTag::kInt: {
-        const int64_t x = col.ints()[a], y = col.ints()[b];
-        return x < y ? -1 : (x > y ? 1 : 0);
-      }
-      case ColumnTag::kDouble: {
-        const double x = col.doubles()[a], y = col.doubles()[b];
-        return x < y ? -1 : (x > y ? 1 : 0);
-      }
-      case ColumnTag::kDictString: {
-        const uint32_t x = cc.dict_rank[col.dict_codes()[a]];
-        const uint32_t y = cc.dict_rank[col.dict_codes()[b]];
-        return x < y ? -1 : (x > y ? 1 : 0);
-      }
-      case ColumnTag::kString: {
-        const int c = col.strings()[a].compare(col.strings()[b]);
-        return c < 0 ? -1 : (c > 0 ? 1 : 0);
-      }
-      case ColumnTag::kMixed:
-        if (ValueColumn::SortLessAt(col, a, col, b)) return -1;
-        if (ValueColumn::SortLessAt(col, b, col, a)) return 1;
-        return 0;
+  if (!pres) {
+    const auto start = std::chrono::steady_clock::now();
+    std::vector<const KeyColumn*> sort_keys;
+    for (size_t i = 0; i < sort_order.size(); ++i) {
+      sort_keys.push_back(keys[i].get());
     }
-    return 0;
-  };
-  std::vector<int64_t> order(static_cast<size_t>(row_count_));
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](int64_t a, int64_t b) {
-    for (const KeyColCmp& cc : cmps) {
-      const int c =
-          cmp3(cc, static_cast<size_t>(a), static_cast<size_t>(b));
-      if (c != 0) return c < 0;
-    }
-    return a < b;
-  });
-  // Materialize the composite keys only once, in sorted order, straight
-  // from the typed columns (no boxed Cell() shim in the build loop).
-  std::vector<const ValueColumn*> key_columns;
-  key_columns.reserve(index->key_cols.size());
-  for (int c : index->key_cols) key_columns.push_back(&Column(c));
-  std::vector<std::pair<Key, int64_t>> entries;
-  entries.reserve(static_cast<size_t>(row_count_));
-  // Index build (DDL time), not query execution.
-  // xqjg-lint: allow(no-budget-guard)
-  for (int64_t pre : order) {
-    Key key;
-    key.reserve(key_columns.size());
-    for (const ValueColumn* col : key_columns) {
-      key.push_back(col->GetValue(static_cast<size_t>(pre)));
-    }
-    entries.emplace_back(std::move(key), pre);
+    pres = std::make_shared<const std::vector<uint32_t>>(
+        SortedIndex::SortPres(sort_keys, static_cast<size_t>(row_count_)));
+    index->build_seconds = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
   }
-  index->tree.BulkLoad(std::move(entries));
+  index->sorted = SortedIndex(std::move(keys), std::move(pres));
   indexes_.push_back(std::move(index));
   return Status::OK();
 }

@@ -1,6 +1,7 @@
 // The relational back-end's storage layer: the doc relation, column
-// statistics, B-tree indexes, and the workload-driven index advisor (the
-// db2advis substitute behind Table VI).
+// statistics, indexes (sorted permutations of pre ranks, sorted_index.h),
+// and the workload-driven index advisor (the db2advis substitute behind
+// Table VI).
 //
 // The doc relation is stored columnar-native: one typed ValueColumn per
 // engine column (int64 arrays for pre/size/level/kind/parent/root/pss, a
@@ -22,7 +23,7 @@
 #include "src/common/status.h"
 #include "src/common/value.h"
 #include "src/common/value_column.h"
-#include "src/engine/btree.h"
+#include "src/engine/sorted_index.h"
 #include "src/opt/join_graph.h"
 #include "src/xml/infoset.h"
 
@@ -62,9 +63,10 @@ struct ColumnStats {
 ///
 /// Copying a Database is cheap and copy-on-write-friendly: the typed
 /// columns and statistics live in one immutable shared block, and built
-/// B-trees are held through shared_ptr — a copy shares both. This is what
-/// the processor's catalog snapshots rely on: index create/drop clones the
-/// Database (sharing the doc-relation storage and every untouched B-tree)
+/// indexes (with their permutations and key-column ranks) are held
+/// through shared_ptr — a copy shares all of them. This is what the
+/// processor's catalog snapshots rely on: index create/drop clones the
+/// Database (sharing the doc-relation storage and every untouched index)
 /// instead of rebuilding or mutating in place, so in-flight executions
 /// over the previous snapshot are never disturbed.
 class Database {
@@ -92,14 +94,18 @@ class Database {
     return storage_->stats[static_cast<size_t>(col)];
   }
 
-  /// Creates (and builds) a B-tree index.
+  /// Creates (and builds) an index. Pre is unique, so key columns after
+  /// `pre` never change the order: an index whose key columns agree with
+  /// an existing one's up to and including `pre` shares its permutation,
+  /// and an index led by `pre` is the identity, built with no sort.
   Status CreateIndex(const IndexDef& def);
   void DropAllIndexes();
 
   struct Index {
     IndexDef def;
-    std::vector<int> key_cols;  ///< engine column indexes
-    BTree tree;
+    SortedIndex sorted;
+    /// Seconds CreateIndex spent on the permutation; 0 when shared.
+    double build_seconds = 0;
   };
   const std::vector<std::shared_ptr<const Index>>& indexes() const {
     return indexes_;
@@ -120,10 +126,13 @@ class Database {
   int64_t row_count_ = 0;
   std::shared_ptr<const Storage> storage_;
   std::vector<std::shared_ptr<const Index>> indexes_;
+  /// Per engine column, its key column once an index needs it; shared by
+  /// every index over the column (and by copies of this Database).
+  std::vector<std::shared_ptr<const KeyColumn>> key_columns_;
   const xml::DocTable* source_ = nullptr;
 };
 
-/// The db2advis substitute: derives a tailored B-tree set from a join
+/// The db2advis substitute: derives a tailored index set from a join
 /// graph workload (paper Table VI). Key-letter naming: p=pre, s=pre+size,
 /// l=level, k=kind, n=name, v=value, d=data, q=parent, r=root.
 std::vector<IndexDef> AdviseIndexes(

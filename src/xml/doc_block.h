@@ -20,7 +20,7 @@
 //
 // Columns are contiguous (the executors' raw-pointer loops require it),
 // so a delta produces NEW column vectors — what is shared across
-// snapshots is the dictionaries, the native DOM, the B-trees of pinned
+// snapshots is the dictionaries, the native DOM, the indexes of pinned
 // snapshots, and the bytes of every untouched run (memcpy, not rebuild).
 #ifndef XQJG_XML_DOC_BLOCK_H_
 #define XQJG_XML_DOC_BLOCK_H_

@@ -27,7 +27,7 @@ TEST(MemoryFootprint, CorpusIsStoredOnceAcrossRelationalLanes) {
                   .ok());
 
   // Force every relational lane: the DocTable view and the database
-  // (B-trees included), then one join-graph and one stacked execution
+  // (indexes included), then one join-graph and one stacked execution
   // (whose doc-relation batches view the same block).
   ASSERT_TRUE(processor.CreateRelationalIndexes().ok());
   RunOptions joingraph;

@@ -335,7 +335,7 @@ class ParameterizedQueryTest : public PreparedQueryTest {
       "//item[price > $minprice]/name";
 
   /// Loads the XMark document the paper queries read (persons person0 ..
-  /// person6) and rebuilds the B-trees.
+  /// person6) and rebuilds the indexes.
   void LoadAuction() {
     data::XmarkOptions xmark;
     xmark.scale = 0.05;
@@ -430,7 +430,7 @@ TEST_F(ParameterizedQueryTest, StringParametersUseTheValueColumn) {
 
 TEST_F(ParameterizedQueryTest, StringParameterReachesTheIndexProbe) {
   // Q3 with its id as a string parameter: the join-graph plan probes the
-  // attribute B-tree with the bound string and tests each match's value
+  // attribute index with the bound string and tests each match's value
   // against it, so a bound string crosses the index probe's predicates.
   ASSERT_NO_FATAL_FAILURE(LoadAuction());
   const std::string query =

@@ -160,7 +160,7 @@ TEST(ExecLimits, PhysicalPlanExecutorsHonorTheRowBudget) {
   // max_intermediate_rows through the cost-based engine, serial and
   // morsel-parallel. Without relational indexes the plan is
   // TBSCAN + NLJOIN (table-scan and join-loop guard points); with the
-  // Table VI set it probes IXSCANs (B-tree callback guard point).
+  // Table VI set it probes IXSCANs (the index slice walk is a guard point).
   for (bool with_indexes : {false, true}) {
     api::XQueryProcessor processor;
     ASSERT_TRUE(processor

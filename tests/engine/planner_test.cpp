@@ -91,7 +91,7 @@ TEST_F(PlannerTest, IndexCreationRejectsUnknownColumns) {
   EXPECT_FALSE(db->CreateIndex({"bad", {"nonexistent"}, {}, false}).ok());
   EXPECT_TRUE(db->CreateIndex({"ok", {"name", "pre"}, {}, false}).ok());
   EXPECT_EQ(db->indexes().size(), 1u);
-  EXPECT_EQ(db->indexes()[0]->tree.size(),
+  EXPECT_EQ(db->indexes()[0]->sorted.pres().size(),
             static_cast<size_t>(doc_->row_count()));
 }
 

@@ -356,7 +356,7 @@ class GraceJoinSpill : public ::testing::Test {
                     .ok());
     db_ = engine::Database::Build(*doc_).release();
     // The index-probe cases need an outer side wider than one 4096-row
-    // stream window, and a B-tree on `pre` to probe.
+    // stream window, and an index on `pre` to probe.
     big_doc_ = new xml::DocTable();
     xmark.scale = 0.3;
     ASSERT_TRUE(xml::LoadDocument(big_doc_, "auction.xml",
@@ -487,7 +487,7 @@ TEST_F(GraceJoinSpill, HashBuildAndTailSortSpillBitIdentically) {
 }
 
 TEST_F(GraceJoinSpill, IndexScanLeafIsBitIdentical) {
-  // An unbounded range over the B-tree on `pre` yields every row, in key
+  // An unbounded range over the index on `pre` yields every row, in key
   // order — again 0..N-1.
   opt::JoinGraph graph;
   graph.num_aliases = 1;
@@ -500,7 +500,7 @@ TEST_F(GraceJoinSpill, IndexScanLeafIsBitIdentical) {
 }
 
 TEST_F(GraceJoinSpill, IndexNestedLoopIsBitIdentical) {
-  // Every doc row probes the B-tree on `pre` for itself. The outer side
+  // Every doc row probes the index on `pre` for itself. The outer side
   // spans more than one 4096-row stream window and is far past the
   // 256-row cutoff of the morsel-parallel probe.
   ASSERT_GT(big_db_->row_count(), 4096);

@@ -2,7 +2,7 @@
 // seeded random documents AND seeded random query shapes, every
 // execution lane must agree item-for-item — native reference, stacked
 // plans (late-materialized σ/π chains), and join-graph physical plans
-// over both the indexed (B-tree probes over typed/dictionary columns)
+// over both the indexed (index probes over typed/dictionary columns)
 // and bare (table-scan) databases, each relational lane with and
 // without a spill-forcing memory budget.
 //

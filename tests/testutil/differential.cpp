@@ -219,7 +219,7 @@ DifferentialHarness::DifferentialHarness(const std::string& uri,
     // snapshot, on a rotating relational lane (stacked or join graph)
     // and memory budget (unlimited or spilling). The cursor executes only
     // when drained (after the mutation), so this is the snapshot-
-    // isolation probe: the old block, B-trees, and native DOM must stay
+    // isolation probe: the old block, indexes, and native DOM must stay
     // alive and bit-identical under the cursor while the catalog moves.
     const std::string pin_uri = uris[rng.Next(uris.size())];
     const std::string pin_query = RandomQuery(seed * 131 + 7 * step, pin_uri);

@@ -1,7 +1,7 @@
 // Differential / fuzz harness for the storage and executor stack.
 //
 // One DifferentialHarness owns two XQueryProcessors over the same
-// document — one with the Table VI B-tree set, one bare — and checks a
+// document — one with the Table VI index set, one bare — and checks a
 // query's result items across every execution lane that must agree:
 //
 //   native whole-document interpretation      (the reference)

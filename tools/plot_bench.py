@@ -76,7 +76,19 @@ def extract_storage(doc):
         series["db build"] = doc["build_seconds"]
     if doc.get("index_seconds") is not None:
         series["index build"] = doc["index_seconds"]
+    for name, seconds in doc.get("index_build_seconds", {}).items():
+        series[f"index build {name}"] = seconds
     return series
+
+
+def extract_storage_footprint(doc):
+    # Bytes and counts, not seconds: a panel of their own.
+    return {
+        key.replace("_", " "): doc[key]
+        for key in ("index_bytes_per_node", "index_permutations",
+                    "index_sorts")
+        if doc.get(key) is not None
+    }
 
 
 def extract_scaling(doc):
@@ -121,6 +133,12 @@ EXTRACTORS = {
     "ablation_indexes": extract_flat_queries("indexed_seconds"),
     "ablation_joinorder": extract_flat_queries("costbased_seconds"),
     "ablation_rules": extract_flat_queries("full_ops"),
+}
+
+# Benches with numbers in another unit, each set plotted in its own panel.
+EXTRA_PANELS = {
+    "storage_layout": [("storage_layout index footprint",
+                        extract_storage_footprint)],
 }
 
 # ---------------------------------------------------------------------------
@@ -285,12 +303,13 @@ def main():
         if not extract:
             print(f"no extractor for bench '{bench}', skipping", file=sys.stderr)
             continue
-        per_run = [extract(docs[bench]) if bench in docs else {}
-                   for _, docs in runs]
-        names = sorted({name for series in per_run for name in series})
-        series = {n: [series.get(n) for series in per_run] for n in names}
-        if series:
-            panels.append((bench, series))
+        for title, fn in [(bench, extract)] + EXTRA_PANELS.get(bench, []):
+            per_run = [fn(docs[bench]) if bench in docs else {}
+                       for _, docs in runs]
+            names = sorted({name for series in per_run for name in series})
+            series = {n: [series.get(n) for series in per_run] for n in names}
+            if series:
+                panels.append((title, series))
     if not panels:
         print("nothing to plot", file=sys.stderr)
         return 1
